@@ -140,9 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
              "instances on one event queue (multi-GPU smoke scenario)",
     )
     run_p.add_argument(
-        "--backend", default="object", choices=("object", "array"),
-        help="data-structure backend; 'array' is the fast path and is "
-             "byte-identical to 'object' (see README \"Benchmarking\")",
+        "--backend", default="array", choices=("object", "array"),
+        help="data-structure backend; 'array' (default) is the fast path, "
+             "'object' the byte-identical differential oracle (see README "
+             "\"Backends\")",
     )
     run_p.add_argument("--json", action="store_true",
                        help="emit the stats summary as JSON")
@@ -482,8 +483,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .config import SimConfig
 
     rate = None if args.rate >= 1.0 else args.rate
-    config = (SimConfig(backend=args.backend)
-              if args.backend != "object" else None)
+    config = SimConfig(backend=args.backend)
     result = run_one(
         RunSpec(args.app, args.setup, rate, scale=args.scale, seed=args.seed,
                 instances=args.instances),

@@ -271,15 +271,16 @@ class SimConfig:
     hpe: HPEConfig = field(default_factory=HPEConfig)
     pattern_buffer: PatternBufferConfig = field(default_factory=PatternBufferConfig)
     seed: int = 0
-    #: Simulation data-structure backend.  ``"object"`` is the reference
-    #: implementation (per-page dicts, linked ChunkEntry objects);
-    #: ``"array"`` is the flat-array fast path (``repro.memsim.array_backend``),
-    #: proven byte-identical by ``tests/test_backend_differential.py``.
-    #: Because both backends produce identical results, ``backend`` is
-    #: deliberately excluded from the cache fingerprints
-    #: (:func:`repro.harness.cache.config_fingerprint`) so they share
-    #: cached entries.
-    backend: str = "object"
+    #: Simulation data-structure backend.  ``"array"`` (the default) is the
+    #: flat-array fast path (``repro.memsim.array_backend``); ``"object"``
+    #: is the reference implementation (per-page dicts, linked ChunkEntry
+    #: objects), kept only as the differential oracle of
+    #: ``tests/test_backend_differential.py`` and the pinned digests of
+    #: ``tests/test_golden_digests.py``.  Because both backends produce
+    #: identical results, ``backend`` is deliberately excluded from the
+    #: cache fingerprints (:func:`repro.harness.cache.config_fingerprint`)
+    #: so they share cached entries.
+    backend: str = "array"
 
     def __post_init__(self) -> None:
         if self.backend not in ("object", "array"):

@@ -28,7 +28,7 @@ import numpy as np
 from ..config import SimConfig
 from ..engine.events import Event, EventQueue
 from ..engine.stats import SimStats
-from ..errors import SimulationError
+from ..errors import SimulationError, ThrashingCrash
 from ..memsim.fault import FarFault
 from ..memsim.gmmu import GMMU
 from ..translation.hierarchy import TranslationHierarchy
@@ -156,14 +156,9 @@ class StreamingMultiprocessor:
 
             # Far fault: park the access, keep going (replayable faults).
             self._outstanding += 1
-            fault = FarFault(
-                vpn=vpn,
-                sm_id=self.sm_id,
-                time=local_time,
-                is_write=is_write,
-                on_resolve=self._make_resolver(vpn, is_write),
+            self.gmmu.handle_fault(
+                FarFault(vpn, self.sm_id, local_time, is_write, sm=self)
             )
-            self.gmmu.handle_fault(fault)
 
         if self._cursor >= n:
             self._maybe_finish(local_time)
@@ -209,15 +204,14 @@ class StreamingMultiprocessor:
             gmmu.policy,
             gmmu._policy_kind,
             gmmu.uvm.pages_per_chunk,
-            l1, l1._sets, l1._num_sets, l1._assoc, l1.config.hit_latency,
-            l2, l2._sets, l2._num_sets, l2._assoc, l2.config.hit_latency,
+            l1._sets, l1._num_sets, l1._assoc, l1.config.hit_latency,
+            l2._sets, l2._num_sets, l2._assoc, l2.config.hit_latency,
             walker,
             walker.dram is None,                    # inline (non-DRAM) walk?
             walker._busy_until,
             walker.config.concurrent_walks,
             walker.config.levels,
             walker.config.memory_access_latency,
-            pwc,
             pwc._sets,
             pwc._num_sets,
             pwc._assoc,
@@ -233,26 +227,27 @@ class StreamingMultiprocessor:
         """Array-backend burst: one trace slice, everything inlined.
 
         Byte-identical to :meth:`_run` by construction — same per-access
-        latency arithmetic, same event scheduling, same counters.  Local
-        counter accumulation is flushed back to the shared stats (and the
-        TLB/walker/PWC objects' own counters) before every ``handle_fault``
-        and at loop exit, because fault handling can synchronously resolve
-        *this* SM's earlier faults (which reads ``_cursor``/``_outstanding``)
-        and can abort the run (ThrashingCrash) with the stats as they stand.
+        latency arithmetic, same event scheduling, same counters.
+        ``_cursor``/``_outstanding`` are written back before every
+        ``handle_fault``, because fault handling can synchronously replay
+        *this* SM's earlier faults, which reads them.  The local counters
+        are flushed to the shared stats (and the TLB/walker/PWC objects' own
+        counters) once, at loop exit — nothing reads them mid-run — or when
+        fault handling aborts the run (ThrashingCrash), so a crashed result
+        carries the stats as they stand.
         """
         self._run_event = None
         gmmu = self.gmmu
-        stats = self.stats
         hoisted = self._hoisted
         if hoisted is None or hoisted[0] is not gmmu._page_table:
             hoisted = self._hoist()
         (
             pt, chain, acc, drt, frames, tch, lref, ctr, prvl, nxtl,
             clock, policy, kind, ppc,
-            l1, l1_sets, l1_num, l1_assoc, l1_lat,
-            l2, l2_sets, l2_num, l2_assoc, l2_lat,
+            l1_sets, l1_num, l1_assoc, l1_lat,
+            l2_sets, l2_num, l2_assoc, l2_lat,
             walker, inline_walk, w_busy, w_cap, w_levels, w_mem_lat,
-            pwc, pwc_sets, pwc_num, pwc_assoc, pwc_lat,
+            pwc_sets, pwc_num, pwc_assoc, pwc_lat,
             compute, max_out, burst_length,
         ) = hoisted
         # Origins move when the arrays grow downward (between bursts only).
@@ -460,38 +455,23 @@ class StreamingMultiprocessor:
                     policy.on_page_touched(chain._handle(li), vpn, local_time)
                 continue
 
-            # --- far fault: sync state out, hand off, sync back in
+            # --- far fault: sync position out, hand off, sync back in
             self._cursor = cursor + i
             outstanding += 1
             self._outstanding = outstanding
-            stats.accesses += accesses
-            stats.writes += writes_n
-            stats.l1_tlb_hits += l1_hits
-            stats.l1_tlb_misses += l1_misses
-            stats.l2_tlb_hits += l2_hits
-            stats.l2_tlb_misses += l2_misses
-            stats.page_walks += walks
-            l1.hits += l1_hits
-            l1.misses += l1_misses
-            l2.hits += l2_hits
-            l2.misses += l2_misses
-            walker.walks += w_walks
-            walker.total_walk_cycles += w_cycles
-            walker.total_queue_delay += w_qdelay
-            pwc.hits += pwc_h
-            pwc.misses += pwc_m
-            accesses = writes_n = 0
-            l1_hits = l1_misses = l2_hits = l2_misses = walks = 0
-            w_walks = w_cycles = w_qdelay = pwc_h = pwc_m = 0
-            fault = FarFault(
-                vpn=vpn,
-                sm_id=sm_id,
-                time=local_time,
-                is_write=is_write,
-                on_resolve=self._make_resolver(vpn, is_write),
-            )
-            gmmu.handle_fault(fault)
-            # begin_service can synchronously resolve this SM's earlier
+            try:
+                gmmu.handle_fault(
+                    FarFault(vpn, sm_id, local_time, is_write, sm=self)
+                )
+            except ThrashingCrash:
+                # A crash ends the run with the stats as they stand.
+                self._flush_counters(
+                    accesses, writes_n, l1_hits, l1_misses, l2_hits,
+                    l2_misses, walks, w_walks, w_cycles, w_qdelay,
+                    pwc_h, pwc_m,
+                )
+                raise
+            # The scheduler can synchronously replay this SM's earlier
             # faults (and this one), mutating _outstanding: reload.
             outstanding = self._outstanding
             if outstanding >= max_out:
@@ -499,22 +479,10 @@ class StreamingMultiprocessor:
 
         self._cursor = cursor + i
         self._outstanding = outstanding
-        stats.accesses += accesses
-        stats.writes += writes_n
-        stats.l1_tlb_hits += l1_hits
-        stats.l1_tlb_misses += l1_misses
-        stats.l2_tlb_hits += l2_hits
-        stats.l2_tlb_misses += l2_misses
-        stats.page_walks += walks
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        walker.walks += w_walks
-        walker.total_walk_cycles += w_cycles
-        walker.total_queue_delay += w_qdelay
-        pwc.hits += pwc_h
-        pwc.misses += pwc_m
+        self._flush_counters(
+            accesses, writes_n, l1_hits, l1_misses, l2_hits, l2_misses,
+            walks, w_walks, w_cycles, w_qdelay, pwc_h, pwc_m,
+        )
 
         if self._cursor >= n:
             self._maybe_finish(local_time)
@@ -525,44 +493,58 @@ class StreamingMultiprocessor:
             # Burst exhausted: yield to other SMs and continue.
             self._schedule_run(local_time)
 
-    def _make_resolver(self, vpn: int, is_write: bool) -> Callable[[int], None]:
-        if self._fill_consts is not None:
-            return self._make_resolver_fast(vpn, is_write)
+    def _flush_counters(
+        self, accesses: int, writes: int, l1_hits: int, l1_misses: int,
+        l2_hits: int, l2_misses: int, walks: int, w_walks: int,
+        w_cycles: int, w_qdelay: int, pwc_hits: int, pwc_misses: int,
+    ) -> None:
+        """Add one burst's locally accumulated counters to the shared stats
+        and to the TLB/walker/PWC objects' own counters."""
+        stats = self.stats
+        stats.accesses += accesses
+        stats.writes += writes
+        stats.l1_tlb_hits += l1_hits
+        stats.l1_tlb_misses += l1_misses
+        stats.l2_tlb_hits += l2_hits
+        stats.l2_tlb_misses += l2_misses
+        stats.page_walks += walks
+        tr = self.translation
+        assert tr is not None
+        l1 = tr.l1_tlbs[self.sm_id]
+        l1.hits += l1_hits
+        l1.misses += l1_misses
+        l2 = tr.l2_tlb
+        l2.hits += l2_hits
+        l2.misses += l2_misses
+        walker = tr.walker
+        walker.walks += w_walks
+        walker.total_walk_cycles += w_cycles
+        walker.total_queue_delay += w_qdelay
+        walker.pwc.hits += pwc_hits
+        walker.pwc.misses += pwc_misses
 
-        def resolve(time: int) -> None:
-            # Replay the parked access: the page is resident now.  The
-            # replayed access re-translates; its walk cost is part of the
-            # fault service, so only the TLB fills are modelled.
+    def replay(self, vpn: int, is_write: bool, time: int) -> None:
+        """Replay one parked access at ``time``: its page is resident now.
+
+        The :class:`~repro.memsim.fault.FarFault` record names this SM, so
+        fault resolution is one method call and raising a fault allocates
+        no closure.  The replayed access re-translates; its walk cost is
+        part of the fault service, so only the TLB fills are modelled.
+        """
+        consts = self._fill_consts
+        if consts is None:
             if self.translation is not None:
                 self.translation.fill(self.sm_id, vpn)
-            self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
-            was_stalled = self.stalled
-            self._outstanding -= 1
-            if self._outstanding < 0:
-                raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
-            if self._cursor >= len(self.trace):
-                self._maybe_finish(time)
-            elif was_stalled:
-                self._schedule_run(time)
-
-        return resolve
-
-    def _make_resolver_fast(
-        self, vpn: int, is_write: bool
-    ) -> Callable[[int], None]:
-        """Resolver with the TLB fills inlined (array backend only).
-
-        Identical to the generic resolver: ``TranslationHierarchy.fill`` is
-        two ``TLB.insert`` calls, reproduced on the hoisted set dicts.
-        """
-        assert self._fill_consts is not None
-        (
-            l1_sets, l1_num, l1_assoc,
-            l2_sets, l2_num, l2_assoc,
-            trace_len, max_out,
-        ) = self._fill_consts
-
-        def resolve(time: int) -> None:
+            trace_len = len(self.trace)
+            max_out = self.config.sm.max_outstanding_faults
+        else:
+            # TranslationHierarchy.fill inlined: two TLB.insert calls on
+            # the hoisted set dicts (array fast path).
+            (
+                l1_sets, l1_num, l1_assoc,
+                l2_sets, l2_num, l2_assoc,
+                trace_len, max_out,
+            ) = consts
             s = l1_sets[vpn % l1_num]
             if vpn in s:
                 del s[vpn]
@@ -575,23 +557,27 @@ class StreamingMultiprocessor:
             elif len(s2) >= l2_assoc:
                 s2.pop(next(iter(s2)))
             s2[vpn] = None
-            self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
-            outstanding = self._outstanding
-            was_stalled = outstanding >= max_out
-            outstanding -= 1
-            self._outstanding = outstanding
-            if outstanding < 0:
-                raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
-            if self._cursor >= trace_len:
-                self._maybe_finish(time)
-            elif was_stalled:
-                self._schedule_run(time)
-
-        return resolve
+        self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
+        outstanding = self._outstanding
+        was_stalled = outstanding >= max_out
+        outstanding -= 1
+        self._outstanding = outstanding
+        if outstanding < 0:
+            raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
+        if self._cursor >= trace_len:
+            self._maybe_finish(time)
+        elif was_stalled:
+            self._schedule_run(time)
 
     def _maybe_finish(self, time: int) -> None:
         if self._finished or self._outstanding > 0 or self._cursor < len(self.trace):
             return
         self._finished = True
+        # The boxed window is dead once the trace is done; dropping it here
+        # rather than with the SM keeps it out of the cyclic garbage a
+        # finished simulation leaves for the collector.
+        self._boxed = None
+        self._boxed_writes = None
+        self._box_lo = self._box_hi = 0
         self.stats.sm_finish_times[self.sm_id] = time
         self.on_finish(self.sm_id, time)

@@ -118,6 +118,18 @@ class InvalidJobRequest(ServiceError):
     http_status = 400
 
 
+class LengthRequired(ServiceError):
+    """A request that must carry a body arrived without ``Content-Length``."""
+
+    http_status = 411
+
+
+class RequestTooLarge(ServiceError):
+    """A request body over the service's byte bound."""
+
+    http_status = 413
+
+
 class WorkerTimeout(HarnessError):
     """A worker stopped making progress within the configured timeout."""
 

@@ -319,7 +319,11 @@ class ArrayChunkChain(ChunkChain):
         # Deliberately does not call ChunkChain.__init__: the sentinel
         # nodes and dict index do not exist in this representation.
         n = _PAD_CHUNKS
+        # Anchored on first use, like ArrayCoverage: chunk ids start at
+        # ``Workload.base_vpn // pages_per_chunk``, so anchoring at 0 would
+        # allocate the whole gap below the footprint.
         self._origin = 0
+        self._anchored = False
         self._res: List[int] = [0] * n
         self._tch: List[int] = [0] * n
         self._pfm: List[int] = [0] * n
@@ -341,6 +345,9 @@ class ArrayChunkChain(ChunkChain):
 
     def _ensure(self, chunk_id: int) -> int:
         """Local slot index for ``chunk_id``, growing arrays in place."""
+        if not self._anchored:
+            self._origin = chunk_id - chunk_id % _PAD_CHUNKS
+            self._anchored = True
         li = chunk_id - self._origin
         if li < 0:
             pad = max(-li, _PAD_CHUNKS)
@@ -526,6 +533,41 @@ class ArrayChunkChain(ChunkChain):
             yield self._handle(li)
             cid = prv
 
+    def _partitioned_from(
+        self, cid: int, links: List[int], current_interval: int
+    ) -> List[ChunkEntry]:
+        """:meth:`ChunkChain._partitioned` over the raw arrays: walk the
+        chain from ``cid`` along ``links`` classifying ``_lref`` ints, and
+        build handles only for the returned order."""
+        origin = self._origin
+        lref = self._lref
+        middle_interval = current_interval - 1
+        old: List[int] = []
+        middle: List[int] = []
+        new: List[int] = []
+        while cid >= 0:
+            li = cid - origin
+            ref = lref[li]
+            if ref >= current_interval:
+                new.append(li)
+            elif ref == middle_interval:
+                middle.append(li)
+            else:
+                old.append(li)
+            cid = links[li]
+        handles = self._handles
+        out: List[ChunkEntry] = []
+        for li in old + middle + new:
+            handle = handles[li]
+            out.append(handle if handle is not None else self._handle(li))
+        return out
+
+    def candidates_from_tail(self, current_interval: int) -> List[ChunkEntry]:
+        return self._partitioned_from(self._last, self._prv, current_interval)
+
+    def candidates_from_head(self, current_interval: int) -> List[ChunkEntry]:
+        return self._partitioned_from(self._first, self._nxt, current_interval)
+
     # --- bulk views -------------------------------------------------------
 
     def chain_chunk_ids(self) -> List[int]:
@@ -615,6 +657,30 @@ class ArrayCoverage:
             if mig is not None:
                 return mig
         return default
+
+    def assign(self, vpns: List[int], mig: InFlightMigration) -> None:
+        """Cover every page of a new service op's batch."""
+        self._ensure(min(vpns))
+        self._ensure(max(vpns))
+        slots = self._slots
+        origin = self._origin
+        added = 0
+        for vpn in vpns:
+            idx = vpn - origin
+            if slots[idx] is None:
+                added += 1
+            slots[idx] = mig
+        self._count += added
+
+    def discard(self, vpns: List[int]) -> None:
+        """Uncover the pages of a completed migration."""
+        slots = self._slots
+        origin = self._origin
+        for vpn in vpns:
+            idx = vpn - origin
+            if slots[idx] is not None:
+                slots[idx] = None
+                self._count -= 1
 
     def pop(
         self, vpn: int, default: Optional[InFlightMigration] = None

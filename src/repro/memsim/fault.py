@@ -10,21 +10,54 @@ faults to same-chunk pages *not* covered queue as fresh faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 __all__ = ["FarFault", "InFlightMigration"]
 
 
-@dataclass
-class FarFault:
-    """One outstanding faulted access."""
+class _CallbackReplayer:
+    """Adapter giving a bare ``on_resolve(time)`` callback the SM's
+    ``replay(vpn, is_write, time)`` surface (faults raised outside an SM)."""
 
-    vpn: int
-    sm_id: int
-    time: int
-    is_write: bool
-    #: Called with the completion time when the page becomes resident.
-    on_resolve: Callable[[int], None]
+    __slots__ = ("_callback",)
+
+    def __init__(self, callback: Callable[[int], None]) -> None:
+        self._callback = callback
+
+    def replay(self, vpn: int, is_write: bool, time: int) -> None:
+        self._callback(time)
+
+
+class FarFault:
+    """One outstanding faulted access.
+
+    A plain slotted record: ``sm`` is the replayer that re-issues the parked
+    access once the page is resident (``sm.replay(vpn, is_write, time)``),
+    normally the faulting :class:`~repro.engine.sm.StreamingMultiprocessor`
+    itself, so raising a fault allocates no per-fault closure.  Callers
+    without an SM pass ``on_resolve(time)`` instead.
+    """
+
+    __slots__ = ("vpn", "sm_id", "time", "is_write", "sm")
+
+    def __init__(
+        self,
+        vpn: int,
+        sm_id: int,
+        time: int,
+        is_write: bool,
+        on_resolve: Optional[Callable[[int], None]] = None,
+        sm: Any = None,
+    ) -> None:
+        self.vpn = vpn
+        self.sm_id = sm_id
+        self.time = time
+        self.is_write = is_write
+        self.sm = sm if on_resolve is None else _CallbackReplayer(on_resolve)
+
+    def on_resolve(self, time: int) -> None:
+        """Replay the parked access at ``time`` (the page is resident)."""
+        self.sm.replay(self.vpn, self.is_write, time)
 
     def trace_args(self) -> Dict[str, Any]:
         """Structured-event payload for the observability tracer."""

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from functools import partial
+from itertools import groupby
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..config import SimConfig, UVMConfig
 from ..engine.events import EventQueue
@@ -315,6 +317,19 @@ class EvictionService:
         #: Maintained by MemorySystem (chain and page table must both be
         #: array-backed before the fused eviction path is safe).
         self._use_array = False
+        # Set-level shootdown targets for the fused path: a fully
+        # associative TLB is one dict, whose (live) key view is intersected
+        # with the evicted vpns in C; a set-associative one keeps the
+        # per-page probe.
+        self._tlb_dicts: List[tuple] = []
+        self._tlb_sets: List[tuple] = []
+        if translation is not None:
+            for tlb in (*translation.l1_tlbs, translation.l2_tlb):
+                if tlb._num_sets == 1:
+                    s = tlb._sets[0]
+                    self._tlb_dicts.append((s, s.keys()))
+                else:
+                    self._tlb_sets.append((tlb._sets, tlb._num_sets))
 
     def ensure_capacity(self, frames_needed: int, time: int) -> int:
         """Evict chunks until ``frames_needed`` frames are free.
@@ -332,8 +347,9 @@ class EvictionService:
             self.policy.on_memory_full(time)
         shortfall = frames_needed - self.ledger.free_unreserved
         victims = self.policy.select_victims(shortfall, time)
+        evict = self._evict_chunk_array if self._use_array else self.evict_chunk
         for entry in victims:
-            self.evict_chunk(entry, time)
+            evict(entry, time)
         if self.ledger.free_unreserved < frames_needed:
             raise SimulationError(
                 f"policy {self.policy.name} freed "
@@ -344,9 +360,6 @@ class EvictionService:
 
     def evict_chunk(self, entry: ChunkEntry, time: int) -> None:
         """Unmap every resident page of ``entry`` and retire its metadata."""
-        if self._use_array:
-            self._evict_chunk_array(entry, time)
-            return
         ppc = self.uvm.pages_per_chunk
         base = entry.chunk_id * ppc
         dirty_pages = 0
@@ -426,14 +439,10 @@ class EvictionService:
         frames = pt._frames
         drt = pt._dirty
         free_append = self.device._free.append
-        translation = self.translation
-        if translation is not None:
-            l1_sets_all = [t._sets for t in translation.l1_tlbs]
-            l1_num = translation.l1_tlbs[0]._num_sets if l1_sets_all else 1
-            l2 = translation.l2_tlb
-            l2_sets = l2._sets
-            l2_num = l2._num_sets
-        shootdowns = 0
+        # Evicted pages that may sit in a TLB: only touched ones can, since
+        # every TLB fill comes with a touch of the page, and a chunk's
+        # touched mask is reset only after all its pages were shot down.
+        in_tlb: List[int] = []
         dirty_pages = 0
         evicted_pages = 0
         m = res_mask
@@ -450,24 +459,29 @@ class EvictionService:
             if drt[idx]:
                 dirty_pages += 1
             evicted_pages += 1
-            if translation is not None:
-                hit = False
-                for sets in l1_sets_all:
-                    s = sets[vpn % l1_num]
+            if tch_mask & low:
+                in_tlb.append(vpn)
+        if in_tlb and self.translation is not None:
+            # One shootdown per evicted page present in any TLB.
+            gone = set(in_tlb)
+            hit: Set[int] = set()
+            for s, keys in self._tlb_dicts:
+                common = keys & gone
+                if common:
+                    for vpn in common:
+                        del s[vpn]
+                    hit |= common
+            for sets, num in self._tlb_sets:
+                for vpn in in_tlb:
+                    s = sets[vpn % num]
                     if vpn in s:
                         del s[vpn]
-                        hit = True
-                s2 = l2_sets[vpn % l2_num]
-                if vpn in s2:
-                    del s2[vpn]
-                    hit = True
-                if hit:
-                    shootdowns += 1
+                        hit.add(vpn)
+            if hit:
+                self.stats.tlb_shootdowns += len(hit)
         chain._res[li] = 0
         pt._resident -= evicted_pages
         self.device._allocated -= evicted_pages
-        if shootdowns:
-            self.stats.tlb_shootdowns += shootdowns
         self.chain.remove(cid)
         self.stats.chunks_evicted += 1
         self.stats.pages_evicted += evicted_pages
@@ -560,14 +574,37 @@ class MigrationScheduler:
     # ------------------------------------------------------- service loop
 
     def pump(self, time: int) -> None:
-        """Fill free service slots from the frontend's pending queue."""
-        while (
-            self._active_services < self.uvm.fault_parallelism
-            and self.frontend.pending
-        ):
-            fault = self.frontend.pending.popleft()
-            if not self.begin_service(fault, time):
+        """Fill free service slots from the frontend's pending queue.
+
+        Queued faults whose page arrived, or went in flight, while they
+        waited are drained in this one loop (replayed or merged); only a
+        fault that needs a migration of its own starts a service op.
+        """
+        pending = self.frontend.pending
+        parallelism = self.uvm.fault_parallelism
+        if not self._use_array:
+            while self._active_services < parallelism and pending:
+                self.begin_service(pending.popleft(), time)
+            return
+        pt = self.page_table
+        frames = pt._frames
+        covered = self.frontend.covered
+        slots = covered._slots
+        while self._active_services < parallelism and pending:
+            fault = pending.popleft()
+            vpn = fault.vpn
+            idx = vpn - pt._origin
+            if 0 <= idx < len(frames) and frames[idx] >= 0:
+                fault.sm.replay(vpn, fault.is_write, time)
                 continue
+            idx = vpn - covered._origin
+            mig = slots[idx] if 0 <= idx < len(slots) else None
+            if mig is not None:
+                mig.faults.append(fault)
+                self.stats.merged_faults += 1
+                self.frontend._m_merged.value += 1
+                continue
+            self._start_service(fault, time)
 
     def max_batch(self) -> int:
         """Largest allowed migration batch.
@@ -578,8 +615,41 @@ class MigrationScheduler:
         """
         return max(self.uvm.pages_per_chunk, self.device.capacity // 2)
 
+    def _skip_predicate(self, in_batch: Set[int]) -> Callable[[int], bool]:
+        """The prefetchers' skip test for one service op: resident, already
+        in flight, or already claimed by the op being assembled
+        (``in_batch``, which the op keeps extending)."""
+        covered = self.frontend.covered
+        if not self._use_array:
+            resident = self.page_table.is_resident
+            return lambda vpn: resident(vpn) or vpn in covered or vpn in in_batch
+        # Raw-array predicate: prefetchers probe it once per candidate page,
+        # so the dict/method indirections add up.  Neither array grows
+        # while an op is assembled.
+        pt = self.page_table
+        frames = pt._frames
+        p_origin = pt._origin
+        nf = len(frames)
+        slots = covered._slots
+        c_origin = covered._origin
+        ns = len(slots)
+
+        def skip(vpn: int) -> bool:
+            i = vpn - p_origin
+            if 0 <= i < nf and frames[i] >= 0:
+                return True
+            j = vpn - c_origin
+            if 0 <= j < ns and slots[j] is not None:
+                return True
+            return vpn in in_batch
+
+        return skip
+
     def _gather_pages(
-        self, fault: FarFault, in_batch: Set[int]
+        self,
+        fault: FarFault,
+        in_batch: Set[int],
+        skip: Callable[[int], bool],
     ) -> Optional[List[int]]:
         """Consult the prefetcher for ``fault``; returns the page batch or
         None when the fault needs no migration of its own.
@@ -590,31 +660,6 @@ class MigrationScheduler:
         """
         if self.frontend.covering(fault.vpn) is not None or fault.vpn in in_batch:
             return None
-        covered = self.frontend.covered
-        if self._use_array:
-            # Raw-array skip predicate: prefetchers probe it once per
-            # candidate page, so the dict/method indirections add up.
-            pt = self.page_table
-            frames = pt._frames
-            p_origin = pt._origin
-            nf = len(frames)
-            slots = covered._slots
-            c_origin = covered._origin
-            ns = len(slots)
-
-            def skip(vpn: int) -> bool:
-                i = vpn - p_origin
-                if 0 <= i < nf and frames[i] >= 0:
-                    return True
-                j = vpn - c_origin
-                if 0 <= j < ns and slots[j] is not None:
-                    return True
-                return vpn in in_batch
-        else:
-            resident = self.page_table.is_resident
-            skip = (
-                lambda vpn: resident(vpn) or vpn in covered or vpn in in_batch
-            )
         pages = self.prefetcher.pages_to_migrate(
             fault.vpn, self.ledger.memory_full, skip, time=fault.time
         )
@@ -631,39 +676,29 @@ class MigrationScheduler:
 
     def begin_service(self, fault: FarFault, time: int) -> bool:
         """Start one fault-service op.  Returns False if the fault resolved
-        without a new migration (page arrived while it was queued).
+        without a new migration (page arrived while it was queued)."""
+        if self.page_table.is_resident(fault.vpn):
+            fault.sm.replay(fault.vpn, fault.is_write, time)
+            return False
+        covering = self.frontend.covering(fault.vpn)
+        if covering is not None:
+            self.frontend.merge(fault, covering)
+            return False
+        self._start_service(fault, time)
+        return True
+
+    def _start_service(self, fault: FarFault, time: int) -> None:
+        """Start a service op for ``fault``, whose page is neither resident
+        nor in flight.
 
         With ``fault_batch_size > 1`` the op drains further pending faults
         from the buffer, amortising the base service latency across chunks
         (UVM batch processing; the paper's configuration services one fault
         group per op).
         """
-        if self._use_array:
-            # Flattened resident/covered checks: most queued faults resolve
-            # or merge right here once their chunk's migration lands.
-            pt = self.page_table
-            frames = pt._frames
-            idx = fault.vpn - pt._origin
-            if 0 <= idx < len(frames) and frames[idx] >= 0:
-                fault.on_resolve(time)
-                return False
-            covering = self.frontend.covered.get(fault.vpn)
-            if covering is not None:
-                covering.attach(fault)
-                self.stats.merged_faults += 1
-                self.frontend._m_merged.value += 1
-                return False
-        else:
-            if self.page_table.is_resident(fault.vpn):
-                fault.on_resolve(time)
-                return False
-            covering = self.frontend.covering(fault.vpn)
-            if covering is not None:
-                self.frontend.merge(fault, covering)
-                return False
-
         in_batch: Set[int] = set()
-        pages = self._gather_pages(fault, in_batch)
+        skip = self._skip_predicate(in_batch)
+        pages = self._gather_pages(fault, in_batch, skip)
         assert pages is not None  # neither covered nor in an empty batch
         batch_faults = [fault]
         batch_pages: List[int] = list(pages)
@@ -676,9 +711,9 @@ class MigrationScheduler:
             nxt = pending[0]
             if self.page_table.is_resident(nxt.vpn):
                 pending.popleft()
-                nxt.on_resolve(time)
+                nxt.sm.replay(nxt.vpn, nxt.is_write, time)
                 continue
-            extra = self._gather_pages(nxt, in_batch)
+            extra = self._gather_pages(nxt, in_batch, skip)
             if extra is None:
                 # Covered by an in-flight migration or by this very batch.
                 pending.popleft()
@@ -703,14 +738,16 @@ class MigrationScheduler:
         mig = InFlightMigration(
             chunk_id=fault.vpn // self.uvm.pages_per_chunk,
             pages=set(batch_pages),
+            faults=batch_faults,
             start_time=time,
             token=self._next_migration_token,
         )
         self._next_migration_token += 1
-        for f in batch_faults:
-            mig.attach(f)
-        for vpn in batch_pages:
-            self.frontend.cover(vpn, mig)
+        if self._use_array:
+            self.frontend.covered.assign(batch_pages, mig)
+        else:
+            for vpn in batch_pages:
+                self.frontend.cover(vpn, mig)
         self.in_flight[mig.token] = mig
         self._active_services += 1
 
@@ -725,9 +762,8 @@ class MigrationScheduler:
         self.stats.fault_service_ops += 1
         self.stats.bytes_host_to_device = self.pcie.bytes_to_device
         self.events.schedule(
-            mig.finish_time, lambda t, m=mig: self.complete_migration(m, t)
+            mig.finish_time, partial(self.complete_migration, mig)
         )
-        return True
 
     # ----------------------------------------------------- migration finish
 
@@ -782,7 +818,7 @@ class MigrationScheduler:
         del self.in_flight[mig.token]
         self._active_services -= 1
         for fault in mig.faults:
-            fault.on_resolve(time)
+            fault.sm.replay(fault.vpn, fault.is_write, time)
         self.stats.chain_length_peak = self.chain.length_peak
         self.pump(time)
 
@@ -814,14 +850,13 @@ class MigrationScheduler:
         free = device._free
         if len(free) < len(pages):
             raise CapacityError("device memory exhausted")
-        uncover = self.frontend.uncover
         interval = self.clock.current_interval
         demand = 0
         prefetched = 0
-        by_chunk: Dict[int, List[int]] = {}
-        for vpn in pages:
-            by_chunk.setdefault(vpn // ppc, []).append(vpn)
-        for chunk_id, vpns in by_chunk.items():
+        # ``pages`` is sorted, so each chunk's pages form one run; the C-level
+        # key (vpn // ppc) groups them without a per-page Python call.
+        for chunk_id, run in groupby(pages, ppc.__rfloordiv__):
+            vpns = list(run)
             li = chunk_id - c_origin
             is_new = not inch[li]
             if is_new:
@@ -843,12 +878,12 @@ class MigrationScheduler:
                 else:
                     pfm |= bit
                     prefetched += 1
-                uncover(vpn)
             res_l[li] = res
             pfm_l[li] = pfm
             ctr_l[li] = min(16, ctr_l[li] + len(vpns))
             if is_new:
                 self.policy.insert_chunk(chain._handle(li), time)
+        self.frontend.covered.discard(pages)
         n = len(pages)
         device._allocated += n
         if device._allocated > device.peak_allocated:
@@ -1059,9 +1094,12 @@ class MemorySystem:
                 "fault", fault.time, chunk=vpn // self.uvm.pages_per_chunk,
                 **fault.trace_args(),
             )
-        mig = frontend.covered.get(vpn)
+        covered = frontend.covered
+        slots = covered._slots
+        idx = vpn - covered._origin
+        mig = slots[idx] if 0 <= idx < len(slots) else None
         if mig is not None:
-            mig.attach(fault)
+            mig.faults.append(fault)
             stats.merged_faults += 1
             frontend._m_merged.value += 1
             return

@@ -13,6 +13,8 @@ effectively shrinks usable capacity.
 
 from __future__ import annotations
 
+from itertools import chain as chain_iters
+from itertools import islice
 from typing import List
 
 from ..errors import ConfigError
@@ -43,12 +45,13 @@ class ReservedLRUPolicy(EvictionPolicy):
         entry.last_ref_interval = self.ctx.clock.current_interval
 
     def select_victims(self, frames_needed: int, time: int) -> List[ChunkEntry]:
-        ordered = list(self.ctx.chain.from_head())
-        reserved = int(len(ordered) * self.reserve_fraction)
-        eligible = ordered[reserved:]
-        # If the reservation leaves too little to evict, fall back to the
-        # reserved entries from the most-protected end (must evict something).
-        needed_pages = sum(e.resident_pages for e in eligible)
-        if needed_pages < frames_needed:
-            eligible = eligible + list(reversed(ordered[:reserved]))
-        return self._take_until_enough(eligible, frames_needed)
+        chain = self.ctx.chain
+        reserved = int(len(chain) * self.reserve_fraction)
+        entries = chain.from_head()
+        protected = list(islice(entries, reserved))
+        # Victims come from past the reservation; only if that leaves too
+        # little to evict does the search fall back to the reserved entries,
+        # from the most-protected end (must evict something).
+        return self._take_until_enough(
+            chain_iters(entries, reversed(protected)), frames_needed
+        )

@@ -4,7 +4,9 @@ Routes (all JSON; the event stream is newline-delimited JSON):
 
 * ``POST /batches`` — submit a batch; body ``{"specs": [...], "config":
   {...}, "tenant": "...", "priority": N}``.  201 with the job's status
-  view; 400 on a bad payload, 429 on rate-limit/admission denial.
+  view; 400 on a bad payload or ``Content-Length``, 411 without one, 413
+  over ``_MAX_REQUEST_BYTES``, 429 on rate-limit/admission
+  denial.
 * ``GET /batches`` — summaries of every known job.
 * ``GET /batches/<id>`` — one job's full status (specs, per-spec
   outcomes, results, ``BatchStats``).
@@ -29,7 +31,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Type
 from urllib.parse import parse_qs, urlparse
 
-from ..errors import InvalidJobRequest, RateLimited, ServiceError
+from ..errors import (
+    InvalidJobRequest,
+    LengthRequired,
+    RateLimited,
+    RequestTooLarge,
+    ServiceError,
+)
 from .core import ExperimentService
 from .wire import JSONDict
 
@@ -37,6 +45,8 @@ __all__ = ["make_server", "serve"]
 
 #: Poll interval for ``?follow=1`` streams (bounds shutdown latency).
 _FOLLOW_WAIT_S = 0.5
+#: Largest request body the front end reads, in bytes (413 above).
+_MAX_REQUEST_BYTES = 1 << 20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -74,7 +84,35 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request's JSON body, framed by a checked ``Content-Length``.
+
+        A missing, malformed, negative or over-limit length is refused
+        before any byte is read (411, 400, 400, 413), and the connection is
+        closed after the reply, since the unread body would otherwise be
+        parsed as the next request.
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            self.close_connection = True
+            raise LengthRequired("POST requires a Content-Length header")
+        header = header.strip()
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise InvalidJobRequest(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        # Count digits before int(): thousands of them would trip int()'s
+        # digit limit (a ValueError) instead of being refused.
+        digits = header.lstrip("0") or "0"
+        if (
+            len(digits) > len(str(_MAX_REQUEST_BYTES))
+            or int(digits) > _MAX_REQUEST_BYTES
+        ):
+            self.close_connection = True
+            raise RequestTooLarge(
+                f"Content-Length exceeds the {_MAX_REQUEST_BYTES}-byte limit"
+            )
+        length = int(digits)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise InvalidJobRequest("empty request body (expected JSON)")

@@ -15,11 +15,19 @@ of the origin-offset representation.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+import pytest
+from conftest import make_simple_workload
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SimConfig
+from repro.engine.simulator import Simulator
+from repro.engine.stats import SimStats
 from repro.memsim.array_backend import (
+    _PAD_CHUNKS,
     ArrayChunkChain,
     ArrayCoverage,
     ArrayPageTable,
@@ -27,6 +35,9 @@ from repro.memsim.array_backend import (
 )
 from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
 from repro.memsim.page_table import PageTable
+from repro.policies.base import PolicyContext
+from repro.policies.lru import LRUPolicy
+from repro.policies.reserved_lru import ReservedLRUPolicy
 
 #: A few ids below / around zero, a band at the workload base: exercises
 #: in-place growth at both ends plus negative indices (which must NOT wrap
@@ -97,7 +108,7 @@ CHAIN_OPS = st.lists(
     st.tuples(
         st.sampled_from(
             ["insert_tail", "insert_head", "remove", "move_to_tail",
-             "touch", "resident", "clear_resident", "counter"]
+             "touch", "resident", "clear_resident", "counter", "ref"]
         ),
         CHUNK_IDS,
         st.integers(min_value=0, max_value=15),
@@ -161,6 +172,11 @@ class TestArrayChunkChain:
             elif op == "move_to_tail" and in_chain:
                 arr.move_to_tail(cid)
                 obj.move_to_tail(cid)
+            elif op == "ref" and in_chain:
+                # Spread last-reference intervals over the old / middle /
+                # new partitions the candidate orders are built from.
+                arr.get(cid).last_ref_interval = page % 6
+                obj.get(cid).last_ref_interval = page % 6
             elif op in ("touch", "resident", "clear_resident", "counter") and in_chain:
                 ea, eo = arr.get(cid), obj.get(cid)
                 if op == "touch":
@@ -191,6 +207,93 @@ class TestArrayChunkChain:
         assert matrix[0, 0].tolist() == [1, 1, 0, 1]  # chunk 3 resident bits
         assert matrix[0, 1].tolist() == [0, 1, 0, 0]  # chunk 3 touched bits
         assert matrix[1, 0].tolist() == [1, 1, 1, 1]
+
+
+class TestArrayChainFootprint:
+    def test_chain_arrays_bounded_by_footprint(self):
+        # Workloads live at Workload.base_vpn (0x80000 = chunk 0x8000): the
+        # chain must anchor its arrays at the first chunk it sees rather
+        # than at chunk 0, which would allocate every slot below the base.
+        workload = make_simple_workload(footprint=1024)
+        assert workload.base_vpn == 0x80000
+        sim = Simulator(
+            workload, oversubscription=0.5, config=SimConfig(backend="array")
+        )
+        sim.run()
+        chain = sim.gmmu.chain
+        assert isinstance(chain, ArrayChunkChain)
+        footprint_chunks = workload.footprint_pages // 16
+        assert chain.length_peak > 0
+        slots = len(chain._inch)
+        assert slots <= footprint_chunks + 2 * _PAD_CHUNKS
+
+
+def _policy_on(chain, policy):
+    policy.attach(
+        PolicyContext(
+            chain=chain, stats=SimStats(), config=SimConfig(),
+            rng=random.Random(0),
+        )
+    )
+    return policy
+
+
+def _filled(chain, residents):
+    for cid, pages in enumerate(residents, start=0x8000):
+        entry = chain.new_entry(cid, 0)
+        entry.resident_mask = (1 << pages) - 1
+        chain.insert_tail(entry)
+    return chain
+
+
+def _eager_reserved_lru(chain, fraction, frames_needed):
+    """The pre-lazy ReservedLRU victim order, as the reference."""
+    ordered = list(chain.from_head())
+    reserved = int(len(ordered) * fraction)
+    eligible = ordered[reserved:]
+    if sum(e.resident_pages for e in eligible) < frames_needed:
+        eligible = eligible + list(reversed(ordered[:reserved]))
+    victims, freed = [], 0
+    for entry in eligible:
+        if freed >= frames_needed:
+            break
+        if entry.resident_pages:
+            victims.append(entry.chunk_id)
+            freed += entry.resident_pages
+    return victims
+
+
+class TestLazyVictimScan:
+    """LRU victim searches consume the chain lazily and stop at the last
+    victim, with the same victims the full-list scan chose."""
+
+    RESIDENTS = [16, 0, 4, 16, 8, 16, 2, 16, 16, 16, 16, 16]
+
+    @pytest.mark.parametrize("chain_cls", [ArrayChunkChain, ChunkChain])
+    def test_lru_early_stop_visits_a_prefix(self, chain_cls):
+        chain = _filled(chain_cls(), self.RESIDENTS)
+        visited = []
+        real_from_head = chain.from_head
+
+        def counting_from_head():
+            for entry in real_from_head():
+                visited.append(entry.chunk_id)
+                yield entry
+
+        chain.from_head = counting_from_head
+        victims = _policy_on(chain, LRUPolicy()).select_victims(18, time=0)
+        # 16 (chunk 0), skip the empty chunk 1, 4 more (chunk 2): done.
+        assert [v.chunk_id for v in victims] == [0x8000, 0x8002]
+        assert visited == [0x8000, 0x8001, 0x8002]
+        assert len(visited) < len(chain)
+
+    @pytest.mark.parametrize("chain_cls", [ArrayChunkChain, ChunkChain])
+    @pytest.mark.parametrize("frames_needed", [1, 17, 60, 120, 142])
+    def test_reserved_lru_matches_eager_scan(self, chain_cls, frames_needed):
+        chain = _filled(chain_cls(), self.RESIDENTS)
+        policy = _policy_on(chain, ReservedLRUPolicy(0.25))
+        got = [v.chunk_id for v in policy.select_victims(frames_needed, 0)]
+        assert got == _eager_reserved_lru(chain, 0.25, frames_needed)
 
 
 class TestArrayCoverage:

@@ -133,7 +133,7 @@ class TestCacheKeyCompatibility:
         # ``backend`` post-dates the key space too, and selects between
         # byte-identical implementations — elided just like ``instances``.
         config_fields = dataclasses.asdict(SimConfig())
-        assert config_fields.pop("backend") == "object"
+        assert config_fields.pop("backend") == "array"
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "spec": fields,

@@ -16,10 +16,13 @@ Covers the tentpole acceptance criteria of the service PR:
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -709,6 +712,68 @@ class TestHTTP:
         _, client = http_service
         with pytest.raises(ServiceError):
             client._request("GET", "/no/such/route")
+
+
+def raw_post(base_url, headers):
+    """POST /batches with hand-written headers and no body; returns
+    (status, payload).
+
+    The socket times out after a few seconds, so a handler that blocks on
+    a body that never comes fails the test instead of hanging it.
+    """
+    url = urlparse(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        head = "POST /batches HTTP/1.1\r\nHost: test\r\n" + "".join(
+            f"{name}: {value}\r\n" for name, value in headers
+        )
+        sock.sendall((head + "\r\n").encode("ascii"))
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+class TestRequestFraming:
+    """POST bodies are framed by a checked Content-Length (no body is read
+    before the length is known to be sane)."""
+
+    def test_non_integer_length_is_400(self, http_service):
+        _, client = http_service
+        status, payload = raw_post(client.base_url, [("Content-Length", "ten")])
+        assert status == 400
+        assert payload["type"] == "InvalidJobRequest"
+        assert "ValueError" not in payload["error"]
+
+    def test_negative_length_is_400(self, http_service):
+        _, client = http_service
+        status, payload = raw_post(client.base_url, [("Content-Length", "-1")])
+        assert status == 400
+        assert payload["type"] == "InvalidJobRequest"
+
+    def test_missing_length_is_411(self, http_service):
+        _, client = http_service
+        status, payload = raw_post(client.base_url, [])
+        assert status == 411
+        assert payload["type"] == "LengthRequired"
+
+    def test_oversized_length_is_413(self, http_service):
+        from repro.service.server import _MAX_REQUEST_BYTES
+
+        _, client = http_service
+        status, payload = raw_post(
+            client.base_url, [("Content-Length", str(_MAX_REQUEST_BYTES + 1))]
+        )
+        assert status == 413
+        assert payload["type"] == "RequestTooLarge"
+        # the server is still serving after the refusals
+        assert client.health()["ok"] is True
+
+    def test_length_past_int_digit_limit_is_413(self, http_service):
+        _, client = http_service
+        status, payload = raw_post(client.base_url, [("Content-Length", "9" * 5000)])
+        assert status == 413
+        assert payload["type"] == "RequestTooLarge"
+        assert "ValueError" not in payload["error"]
+        assert client.health()["ok"] is True
 
 
 # --------------------------------------------------------------------------
