@@ -1,40 +1,27 @@
 """Deterministic discrete-event queue.
 
-A thin wrapper over :mod:`heapq` with a monotonically increasing sequence
-number to break time ties, making event ordering fully deterministic
-regardless of callback identity.  Callbacks are ``callable(time)``.
+A heap of ``(time, seq, callback)`` tuples: the monotonically increasing
+sequence number breaks time ties, so event ordering is fully deterministic
+and the callback itself is never compared.  Callbacks are
+``callable(time)``.  Nothing is cancellable: a scheduled event always fires.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Event", "EventQueue"]
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.  Ordered by (time, seq)."""
-
-    time: int
-    seq: int
-    callback: Callable[[int], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        self.cancelled = True
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
-    """Priority queue of :class:`Event` with deterministic ordering."""
+    """Priority queue of callbacks ordered by (time, schedule order)."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[int, int, Callable[[int], None]]] = []
         self._seq = 0
         self._now = 0
 
@@ -44,51 +31,45 @@ class EventQueue:
         return self._now
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap)
 
-    def schedule(self, time: int, callback: Callable[[int], None]) -> Event:
+    def schedule(self, time: int, callback: Callable[[int], None]) -> None:
         """Schedule ``callback`` at absolute ``time`` (must be >= now)."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now {self._now}"
             )
-        event = Event(time=time, seq=self._seq, callback=callback)
+        heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
 
-    def schedule_after(self, delay: int, callback: Callable[[int], None]) -> Event:
+    def schedule_after(self, delay: int, callback: Callable[[int], None]) -> None:
         """Schedule ``callback`` ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule(self._now + delay, callback)
+        self.schedule(self._now + delay, callback)
 
-    def pop(self) -> Optional[Event]:
-        """Pop and return the next non-cancelled event, advancing ``now``.
+    def pop(self) -> Optional[Tuple[int, Callable[[int], None]]]:
+        """Pop the next event as ``(time, callback)``, advancing ``now``.
 
         Returns ``None`` when the queue is empty.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            return event
-        return None
+        if not self._heap:
+            return None
+        time, _, callback = heappop(self._heap)
+        self._now = time
+        return time, callback
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the queue, dispatching callbacks.  Returns events dispatched.
 
         ``max_events`` guards against runaway simulations.
         """
-        dispatched = 0
-        while True:
-            if max_events is not None and dispatched >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted after {dispatched} events"
-                )
-            event = self.pop()
-            if event is None:
+        heap = self._heap
+        budget = None if max_events is None else max(max_events, 0)
+        for dispatched in count() if budget is None else range(budget):
+            if not heap:
                 return dispatched
-            event.callback(event.time)
-            dispatched += 1
+            time, _, callback = heappop(heap)
+            self._now = time
+            callback(time)
+        raise SimulationError(f"event budget exhausted after {budget} events")

@@ -26,9 +26,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..config import SimConfig
-from ..engine.events import Event, EventQueue
+from ..engine.events import EventQueue
 from ..engine.stats import SimStats
-from ..errors import SimulationError, ThrashingCrash
+from ..errors import SimulationError
 from ..memsim.fault import FarFault
 from ..memsim.gmmu import GMMU
 from ..translation.hierarchy import TranslationHierarchy
@@ -66,7 +66,8 @@ class StreamingMultiprocessor:
         self._cursor = 0
         self._outstanding = 0
         self._finished = False
-        self._run_event: Optional[Event] = None
+        #: True while a burst event for this SM sits in the queue.
+        self._run_event = False
         # Fused burst loop: eligible when the memory system runs the array
         # backend (gmmu._fast) and the full translation path is modelled —
         # then TLB probes, the page touch and the policy recency update can
@@ -89,6 +90,17 @@ class StreamingMultiprocessor:
         self._box_hi = 0
         self._boxed: Optional[list] = None
         self._boxed_writes: Optional[bytes] = None
+        # Per-SM totals for the TLB/walker/PWC objects' own counters,
+        # folded into those objects once, when the SM finishes (only
+        # TranslationHierarchy.sync_counter_stats reads them, at run end).
+        # L1 hits, L2 misses and inline walks follow from these and the
+        # cursor.
+        self._l1_misses = 0
+        self._l2_hits = 0
+        self._walk_cycles = 0
+        self._walk_queue_delay = 0
+        self._pwc_hits = 0
+        self._pwc_misses = 0
         if self._fast:
             assert translation is not None
             l1 = translation.l1_tlbs[sm_id]
@@ -105,8 +117,9 @@ class StreamingMultiprocessor:
         self._schedule_run(time)
 
     def _schedule_run(self, time: int) -> None:
-        if self._run_event is None and not self._finished:
-            self._run_event = self.events.schedule(
+        if not self._run_event and not self._finished:
+            self._run_event = True
+            self.events.schedule(
                 time, self._run_fast if self._fast else self._run
             )
 
@@ -124,7 +137,7 @@ class StreamingMultiprocessor:
         if self._fast:
             self._run_fast(time)
             return
-        self._run_event = None
+        self._run_event = False
         sm_cfg = self.config.sm
         trace = self.trace
         n = len(trace)
@@ -156,8 +169,9 @@ class StreamingMultiprocessor:
 
             # Far fault: park the access, keep going (replayable faults).
             self._outstanding += 1
+            # ``self`` is FarFault's positional ``sm``: the replayer.
             self.gmmu.handle_fault(
-                FarFault(vpn, self.sm_id, local_time, is_write, sm=self)
+                FarFault(vpn, self.sm_id, local_time, is_write, self)
             )
 
         if self._cursor >= n:
@@ -230,13 +244,16 @@ class StreamingMultiprocessor:
         latency arithmetic, same event scheduling, same counters.
         ``_cursor``/``_outstanding`` are written back before every
         ``handle_fault``, because fault handling can synchronously replay
-        *this* SM's earlier faults, which reads them.  The local counters
-        are flushed to the shared stats (and the TLB/walker/PWC objects' own
-        counters) once, at loop exit — nothing reads them mid-run — or when
-        fault handling aborts the run (ThrashingCrash), so a crashed result
-        carries the stats as they stand.
+        *this* SM's earlier faults, which reads them.  The loop counts only
+        what its window index does not give: the accesses are how far the
+        index moved, every L1 miss is an L2 probe and every L2 miss a walk.  The burst's counters reach
+        the shared stats once, when the loop exits — nothing reads them
+        mid-run — also when fault handling aborts the run (ThrashingCrash),
+        so a crashed result carries the stats as they stand.  The
+        TLB/walker/PWC objects' own counters are folded in when the SM
+        finishes (:meth:`_maybe_finish`).
         """
-        self._run_event = None
+        self._run_event = False
         gmmu = self.gmmu
         hoisted = self._hoisted
         if hoisted is None or hoisted[0] is not gmmu._page_table:
@@ -267,157 +284,132 @@ class StreamingMultiprocessor:
             self._boxed = self.trace[lo:hi].tolist()
             self._boxed_writes = (
                 self.writes[lo:hi].astype(np.uint8).tobytes()
-                if self.writes is not None else None
+                if self.writes is not None else bytes(hi - lo)
             )
             self._box_lo = lo
             self._box_hi = hi
         vpns = self._boxed
         writes = self._boxed_writes
-        base = cursor - self._box_lo
-        count = end - cursor
+        # The loop walks the boxed window directly: ``j`` is the window
+        # index, and ``j - start`` accesses are done.
+        start = cursor - self._box_lo
+        stop = start + end - cursor
 
         local_time = time
         outstanding = self._outstanding
         sm_id = self.sm_id
 
-        accesses = 0
         writes_n = 0
         l1_hits = 0
-        l1_misses = 0
         l2_hits = 0
-        l2_misses = 0
-        walks = 0
-        w_walks = 0
         w_cycles = 0
         w_qdelay = 0
         pwc_h = 0
         pwc_m = 0
 
-        i = 0
-        while i < count:
-            vpn = vpns[base + i]
-            is_write = writes[base + i] != 0 if writes is not None else False
-            i += 1
-            local_time += compute
+        j = start
+        try:
+            while j < stop:
+                vpn = vpns[j]
+                is_write = writes[j] != 0
+                j += 1
+                local_time += compute
 
-            # --- translation path (mirrors TranslationHierarchy.translate)
-            s = l1_sets[vpn % l1_num]
-            if vpn in s:
-                del s[vpn]
-                s[vpn] = None
-                l1_hits += 1
-                local_time += l1_lat
-                resident = True
-            else:
-                l1_misses += 1
-                latency = l1_lat
-                s2 = l2_sets[vpn % l2_num]
-                if vpn in s2:
-                    del s2[vpn]
-                    s2[vpn] = None
-                    l2_hits += 1
-                    latency += l2_lat
-                    if len(s) >= l1_assoc:
-                        del s[next(iter(s))]
+                # --- translation path (mirrors TranslationHierarchy.translate)
+                s = l1_sets[vpn % l1_num]
+                if vpn in s:
+                    del s[vpn]
                     s[vpn] = None
+                    l1_hits += 1
+                    local_time += l1_lat
                     resident = True
                 else:
-                    l2_misses += 1
-                    latency += l2_lat
-                    if inline_walk:
-                        # --- inline walk (mirrors PageTableWalker.walk,
-                        # flat-latency arm).  Keys are (level, vpn >> 9*d).
-                        w_walks += 1
-                        wtime = local_time + latency
-                        while w_busy and w_busy[0] <= wtime:
-                            heappop(w_busy)
-                        queue_delay = 0
-                        if len(w_busy) >= w_cap:
-                            queue_delay = heappop(w_busy) - wtime
-                        deepest = -1
-                        level = w_levels - 2
-                        while level >= 0:
-                            node = vpn >> (9 * (w_levels - 1 - level))
-                            key = (level, node)
-                            ps = pwc_sets[(node * 7 + level) % pwc_num]
-                            if key in ps:
-                                del ps[key]
-                                ps[key] = None
-                                pwc_h += 1
-                                deepest = level
-                                break
-                            pwc_m += 1
-                            level -= 1
-                        wlat = pwc_lat + (w_levels - 1 - deepest) * w_mem_lat
-                        level = deepest + 1
-                        while level < w_levels - 1:
-                            node = vpn >> (9 * (w_levels - 1 - level))
-                            key = (level, node)
-                            ps = pwc_sets[(node * 7 + level) % pwc_num]
-                            if key in ps:
-                                del ps[key]
-                            elif len(ps) >= pwc_assoc:
-                                ps.pop(next(iter(ps)))
-                            ps[key] = None
-                            level += 1
-                        heappush(w_busy, wtime + queue_delay + wlat)
-                        w_cycles += wlat
-                        w_qdelay += queue_delay
-                        pidx = vpn - p_origin
-                        resident = (
-                            0 <= pidx < len(frames) and frames[pidx] >= 0
-                        )
-                        walk_latency = queue_delay + wlat
-                    else:
-                        walk_latency, resident = walker.walk(
-                            vpn, local_time + latency
-                        )
-                    walks += 1
-                    latency += walk_latency
-                    if resident:
+                    latency = l1_lat
+                    s2 = l2_sets[vpn % l2_num]
+                    if vpn in s2:
+                        del s2[vpn]
+                        s2[vpn] = None
+                        l2_hits += 1
+                        latency += l2_lat
                         if len(s) >= l1_assoc:
                             del s[next(iter(s))]
                         s[vpn] = None
-                        if len(s2) >= l2_assoc:
-                            del s2[next(iter(s2))]
-                        s2[vpn] = None
-                local_time += latency
-
-            accesses += 1
-            if is_write:
-                writes_n += 1
-
-            if resident:
-                # --- inline touch (mirrors MemorySystem.touch_page fast path)
-                idx = vpn - p_origin
-                acc[idx] = 1
-                if is_write:
-                    drt[idx] = 1
-                cid = vpn // ppc
-                li = cid - c_origin
-                tch[li] |= 1 << (vpn - cid * ppc)
-                # Recency dispatch with ArrayChunkChain.move_to_tail inlined
-                # (the touched chunk is in the chain by invariant — resident
-                # pages always have a chain entry — so no membership check).
-                if kind == "lru":
-                    last = chain._last
-                    if last != cid:
-                        prv = prvl[li]
-                        nxt = nxtl[li]
-                        if prv >= 0:
-                            nxtl[prv - c_origin] = nxt
+                        resident = True
+                    else:
+                        latency += l2_lat
+                        if inline_walk:
+                            # --- inline walk (mirrors PageTableWalker.walk,
+                            # flat-latency arm).  Keys are (level, vpn >> 9*d).
+                            wtime = local_time + latency
+                            while w_busy and w_busy[0] <= wtime:
+                                heappop(w_busy)
+                            queue_delay = 0
+                            if len(w_busy) >= w_cap:
+                                queue_delay = heappop(w_busy) - wtime
+                            deepest = -1
+                            level = w_levels - 2
+                            while level >= 0:
+                                node = vpn >> (9 * (w_levels - 1 - level))
+                                key = (level, node)
+                                ps = pwc_sets[(node * 7 + level) % pwc_num]
+                                if key in ps:
+                                    del ps[key]
+                                    ps[key] = None
+                                    pwc_h += 1
+                                    deepest = level
+                                    break
+                                pwc_m += 1
+                                level -= 1
+                            wlat = pwc_lat + (w_levels - 1 - deepest) * w_mem_lat
+                            level = deepest + 1
+                            while level < w_levels - 1:
+                                node = vpn >> (9 * (w_levels - 1 - level))
+                                key = (level, node)
+                                ps = pwc_sets[(node * 7 + level) % pwc_num]
+                                if key in ps:
+                                    del ps[key]
+                                elif len(ps) >= pwc_assoc:
+                                    ps.pop(next(iter(ps)))
+                                ps[key] = None
+                                level += 1
+                            heappush(w_busy, wtime + queue_delay + wlat)
+                            w_cycles += wlat
+                            w_qdelay += queue_delay
+                            pidx = vpn - p_origin
+                            resident = (
+                                0 <= pidx < len(frames) and frames[pidx] >= 0
+                            )
+                            walk_latency = queue_delay + wlat
                         else:
-                            chain._first = nxt
-                        prvl[nxt - c_origin] = prv
-                        prvl[li] = last
-                        nxtl[li] = -1
-                        nxtl[last - c_origin] = cid
-                        chain._last = cid
-                    lref[li] = clock._interval_index
-                elif kind == "mhpe":
-                    interval = clock._interval_index
-                    if lref[li] < interval:
-                        lref[li] = interval
+                            walk_latency, resident = walker.walk(
+                                vpn, local_time + latency
+                            )
+                        latency += walk_latency
+                        if resident:
+                            if len(s) >= l1_assoc:
+                                del s[next(iter(s))]
+                            s[vpn] = None
+                            if len(s2) >= l2_assoc:
+                                del s2[next(iter(s2))]
+                            s2[vpn] = None
+                    local_time += latency
+
+                if is_write:
+                    writes_n += 1
+
+                if resident:
+                    # --- inline touch (mirrors MemorySystem.touch_page fast path)
+                    idx = vpn - p_origin
+                    acc[idx] = 1
+                    if is_write:
+                        drt[idx] = 1
+                    cid = vpn // ppc
+                    li = cid - c_origin
+                    tch[li] |= 1 << (vpn - cid * ppc)
+                    # Recency dispatch with ArrayChunkChain.move_to_tail inlined
+                    # (the touched chunk is in the chain by invariant — resident
+                    # pages always have a chain entry — so no membership check).
+                    if kind == "lru":
                         last = chain._last
                         if last != cid:
                             prv = prvl[li]
@@ -431,97 +423,98 @@ class StreamingMultiprocessor:
                             nxtl[li] = -1
                             nxtl[last - c_origin] = cid
                             chain._last = cid
-                elif kind == "hpe":
-                    counter = ctr[li]
-                    if counter < 16:
-                        ctr[li] = counter + 1
-                    last = chain._last
-                    if last != cid:
-                        prv = prvl[li]
-                        nxt = nxtl[li]
-                        if prv >= 0:
-                            nxtl[prv - c_origin] = nxt
-                        else:
-                            chain._first = nxt
-                        prvl[nxt - c_origin] = prv
-                        prvl[li] = last
-                        nxtl[li] = -1
-                        nxtl[last - c_origin] = cid
-                        chain._last = cid
-                    lref[li] = clock._interval_index
-                elif kind == "ref":
-                    lref[li] = clock._interval_index
-                else:
-                    policy.on_page_touched(chain._handle(li), vpn, local_time)
-                continue
+                        lref[li] = clock._interval_index
+                    elif kind == "mhpe":
+                        interval = clock._interval_index
+                        if lref[li] < interval:
+                            lref[li] = interval
+                            last = chain._last
+                            if last != cid:
+                                prv = prvl[li]
+                                nxt = nxtl[li]
+                                if prv >= 0:
+                                    nxtl[prv - c_origin] = nxt
+                                else:
+                                    chain._first = nxt
+                                prvl[nxt - c_origin] = prv
+                                prvl[li] = last
+                                nxtl[li] = -1
+                                nxtl[last - c_origin] = cid
+                                chain._last = cid
+                    elif kind == "hpe":
+                        counter = ctr[li]
+                        if counter < 16:
+                            ctr[li] = counter + 1
+                        last = chain._last
+                        if last != cid:
+                            prv = prvl[li]
+                            nxt = nxtl[li]
+                            if prv >= 0:
+                                nxtl[prv - c_origin] = nxt
+                            else:
+                                chain._first = nxt
+                            prvl[nxt - c_origin] = prv
+                            prvl[li] = last
+                            nxtl[li] = -1
+                            nxtl[last - c_origin] = cid
+                            chain._last = cid
+                        lref[li] = clock._interval_index
+                    elif kind == "ref":
+                        lref[li] = clock._interval_index
+                    else:
+                        policy.on_page_touched(chain._handle(li), vpn, local_time)
+                    continue
 
-            # --- far fault: sync position out, hand off, sync back in
-            self._cursor = cursor + i
-            outstanding += 1
-            self._outstanding = outstanding
-            try:
+                # --- far fault: sync position out, hand off, sync back in
+                self._cursor = cursor + j - start
+                outstanding += 1
+                self._outstanding = outstanding
+                # ``self`` is FarFault's positional ``sm``: the replayer.
                 gmmu.handle_fault(
-                    FarFault(vpn, sm_id, local_time, is_write, sm=self)
+                    FarFault(vpn, sm_id, local_time, is_write, self)
                 )
-            except ThrashingCrash:
-                # A crash ends the run with the stats as they stand.
-                self._flush_counters(
-                    accesses, writes_n, l1_hits, l1_misses, l2_hits,
-                    l2_misses, walks, w_walks, w_cycles, w_qdelay,
-                    pwc_h, pwc_m,
-                )
-                raise
-            # The scheduler can synchronously replay this SM's earlier
-            # faults (and this one), mutating _outstanding: reload.
-            outstanding = self._outstanding
-            if outstanding >= max_out:
-                break
+                # The scheduler can synchronously replay this SM's earlier
+                # faults (and this one), mutating _outstanding: reload.
+                outstanding = self._outstanding
+                if outstanding >= max_out:
+                    break
 
-        self._cursor = cursor + i
+        finally:
+            # Also on ThrashingCrash: a crash ends the run with the stats as
+            # they stand.
+            i = j - start
+            l1_misses = i - l1_hits
+            l2_misses = l1_misses - l2_hits
+            stats = self.stats
+            stats.accesses += i
+            stats.writes += writes_n
+            stats.l1_tlb_hits += l1_hits
+            stats.l1_tlb_misses += l1_misses
+            stats.l2_tlb_hits += l2_hits
+            stats.l2_tlb_misses += l2_misses
+            stats.page_walks += l2_misses
+            if l1_misses:
+                self._l1_misses += l1_misses
+                self._l2_hits += l2_hits
+                self._walk_cycles += w_cycles
+                self._walk_queue_delay += w_qdelay
+                self._pwc_hits += pwc_h
+                self._pwc_misses += pwc_m
+
+        self._cursor = cursor + j - start
         self._outstanding = outstanding
-        self._flush_counters(
-            accesses, writes_n, l1_hits, l1_misses, l2_hits, l2_misses,
-            walks, w_walks, w_cycles, w_qdelay, pwc_h, pwc_m,
-        )
 
         if self._cursor >= n:
             self._maybe_finish(local_time)
-        elif self.stalled:
+        elif outstanding >= max_out:
             self.stats.sm_stall_events += 1
             # Resumed by a fault resolution; no event scheduled.
-        else:
-            # Burst exhausted: yield to other SMs and continue.
-            self._schedule_run(local_time)
-
-    def _flush_counters(
-        self, accesses: int, writes: int, l1_hits: int, l1_misses: int,
-        l2_hits: int, l2_misses: int, walks: int, w_walks: int,
-        w_cycles: int, w_qdelay: int, pwc_hits: int, pwc_misses: int,
-    ) -> None:
-        """Add one burst's locally accumulated counters to the shared stats
-        and to the TLB/walker/PWC objects' own counters."""
-        stats = self.stats
-        stats.accesses += accesses
-        stats.writes += writes
-        stats.l1_tlb_hits += l1_hits
-        stats.l1_tlb_misses += l1_misses
-        stats.l2_tlb_hits += l2_hits
-        stats.l2_tlb_misses += l2_misses
-        stats.page_walks += walks
-        tr = self.translation
-        assert tr is not None
-        l1 = tr.l1_tlbs[self.sm_id]
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l2 = tr.l2_tlb
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        walker = tr.walker
-        walker.walks += w_walks
-        walker.total_walk_cycles += w_cycles
-        walker.total_queue_delay += w_qdelay
-        walker.pwc.hits += pwc_hits
-        walker.pwc.misses += pwc_misses
+        elif not self._run_event:
+            # Burst exhausted: yield to other SMs and continue
+            # (_schedule_run inlined; a replay during the burst may have
+            # scheduled the next one already).
+            self._run_event = True
+            self.events.schedule(local_time, self._run_fast)
 
     def replay(self, vpn: int, is_write: bool, time: int) -> None:
         """Replay one parked access at ``time``: its page is resident now.
@@ -579,5 +572,32 @@ class StreamingMultiprocessor:
         self._boxed = None
         self._boxed_writes = None
         self._box_lo = self._box_hi = 0
+        if self._fast:
+            self._fold_translation_counters()
         self.stats.sm_finish_times[self.sm_id] = time
         self.on_finish(self.sm_id, time)
+
+    def _fold_translation_counters(self) -> None:
+        """Add this SM's totals to the TLB/walker/PWC objects' counters.
+
+        Every access probes the L1 TLB, every L1 miss the L2 TLB, and every
+        L2 miss walks; the walker's own ``walk`` counts its walks when it
+        is called (the DRAM-model arm), so only inline walks are added.
+        """
+        tr = self.translation
+        assert tr is not None
+        l1_misses = self._l1_misses
+        l2_misses = l1_misses - self._l2_hits
+        l1 = tr.l1_tlbs[self.sm_id]
+        l1.hits += self._cursor - l1_misses
+        l1.misses += l1_misses
+        l2 = tr.l2_tlb
+        l2.hits += self._l2_hits
+        l2.misses += l2_misses
+        walker = tr.walker
+        if walker.dram is None:
+            walker.walks += l2_misses
+        walker.total_walk_cycles += self._walk_cycles
+        walker.total_queue_delay += self._walk_queue_delay
+        walker.pwc.hits += self._pwc_hits
+        walker.pwc.misses += self._pwc_misses

@@ -533,18 +533,18 @@ class ArrayChunkChain(ChunkChain):
             yield self._handle(li)
             cid = prv
 
-    def _partitioned_from(
-        self, cid: int, links: List[int], current_interval: int
-    ) -> List[ChunkEntry]:
-        """:meth:`ChunkChain._partitioned` over the raw arrays: walk the
-        chain from ``cid`` along ``links`` classifying ``_lref`` ints, and
-        build handles only for the returned order."""
+    def candidates_from_tail(self, current_interval: int) -> List[ChunkEntry]:
+        """:meth:`ChunkChain.candidates_from_tail` over the raw arrays: walk
+        the chain from the tail classifying ``_lref`` ints, and build
+        handles only for the returned order."""
         origin = self._origin
         lref = self._lref
+        links = self._prv
         middle_interval = current_interval - 1
         old: List[int] = []
         middle: List[int] = []
         new: List[int] = []
+        cid = self._last
         while cid >= 0:
             li = cid - origin
             ref = lref[li]
@@ -562,11 +562,35 @@ class ArrayChunkChain(ChunkChain):
             out.append(handle if handle is not None else self._handle(li))
         return out
 
-    def candidates_from_tail(self, current_interval: int) -> List[ChunkEntry]:
-        return self._partitioned_from(self._last, self._prv, current_interval)
-
-    def candidates_from_head(self, current_interval: int) -> List[ChunkEntry]:
-        return self._partitioned_from(self._first, self._nxt, current_interval)
+    def candidates_from_head(self, current_interval: int) -> Iterator[ChunkEntry]:
+        """Lazy :meth:`ChunkChain.candidates_from_head`: old-partition
+        handles are yielded as the walk from the head meets them, while
+        middle and new entries are buffered for the end.  A victim search
+        that stops early (``_take_until_enough``) so walks the chain only up
+        to its last old victim.  The chain must not change while the
+        iterator is consumed."""
+        origin = self._origin
+        lref = self._lref
+        links = self._nxt
+        handles = self._handles
+        middle_interval = current_interval - 1
+        middle: List[int] = []
+        new: List[int] = []
+        cid = self._first
+        while cid >= 0:
+            li = cid - origin
+            cid = links[li]
+            ref = lref[li]
+            if ref >= current_interval:
+                new.append(li)
+            elif ref == middle_interval:
+                middle.append(li)
+            else:
+                handle = handles[li]
+                yield handle if handle is not None else self._handle(li)
+        for li in middle + new:
+            handle = handles[li]
+            yield handle if handle is not None else self._handle(li)
 
     # --- bulk views -------------------------------------------------------
 
@@ -598,16 +622,16 @@ class ArrayCoverage:
 
     Duck-types the handful of ``Dict[int, InFlightMigration]`` operations
     :class:`~repro.memsim.system.FaultFrontend` and the scheduler use, so
-    the stage code is backend-agnostic.
+    the stage code is backend-agnostic.  No count of covered pages is
+    kept: the simulation never asks for one, so ``len`` counts the slots.
     """
 
-    __slots__ = ("_slots", "_origin", "_empty", "_count")
+    __slots__ = ("_slots", "_origin", "_empty")
 
     def __init__(self) -> None:
         self._slots: List[Optional[InFlightMigration]] = [None] * _PAD_PAGES
         self._origin = 0
         self._empty = True
-        self._count = 0
 
     def _ensure(self, vpn: int) -> int:
         if self._empty:
@@ -628,7 +652,7 @@ class ArrayCoverage:
         return idx
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._slots) - self._slots.count(None)
 
     def __contains__(self, vpn: int) -> bool:
         idx = vpn - self._origin
@@ -643,10 +667,7 @@ class ArrayCoverage:
         raise KeyError(vpn)
 
     def __setitem__(self, vpn: int, mig: InFlightMigration) -> None:
-        idx = self._ensure(vpn)
-        if self._slots[idx] is None:
-            self._count += 1
-        self._slots[idx] = mig
+        self._slots[self._ensure(vpn)] = mig
 
     def get(
         self, vpn: int, default: Optional[InFlightMigration] = None
@@ -658,29 +679,37 @@ class ArrayCoverage:
                 return mig
         return default
 
-    def assign(self, vpns: List[int], mig: InFlightMigration) -> None:
-        """Cover every page of a new service op's batch."""
-        self._ensure(min(vpns))
-        self._ensure(max(vpns))
+    def assign(self, base: int, mask: int, mig: InFlightMigration) -> None:
+        """Cover a new service op's batch: page ``base + b`` for every set
+        bit ``b`` of ``mask``, one contiguous run of pages at a time."""
+        self._ensure(base + (mask & -mask).bit_length() - 1)
+        self._ensure(base + mask.bit_length() - 1)
         slots = self._slots
-        origin = self._origin
-        added = 0
-        for vpn in vpns:
-            idx = vpn - origin
-            if slots[idx] is None:
-                added += 1
-            slots[idx] = mig
-        self._count += added
+        off = base - self._origin
+        m = mask
+        while m:
+            # Lowest run of set bits: ``low`` is its first bit, and adding
+            # it carries through the run, so ``top``'s lowest bit ends it.
+            low = m & -m
+            top = m + low
+            i0 = off + low.bit_length() - 1
+            i1 = off + (top & -top).bit_length() - 1
+            m &= top
+            slots[i0:i1] = [mig] * (i1 - i0)
 
-    def discard(self, vpns: List[int]) -> None:
-        """Uncover the pages of a completed migration."""
+    def discard(self, base: int, mask: int) -> None:
+        """Uncover the pages of a completed migration (``assign``'s page
+        mask form), one contiguous run at a time."""
         slots = self._slots
-        origin = self._origin
-        for vpn in vpns:
-            idx = vpn - origin
-            if slots[idx] is not None:
-                slots[idx] = None
-                self._count -= 1
+        off = base - self._origin
+        m = mask
+        while m:
+            low = m & -m
+            top = m + low
+            i0 = off + low.bit_length() - 1
+            i1 = off + (top & -top).bit_length() - 1
+            m &= top
+            slots[i0:i1] = [None] * (i1 - i0)
 
     def pop(
         self, vpn: int, default: Optional[InFlightMigration] = None
@@ -690,6 +719,5 @@ class ArrayCoverage:
             mig = self._slots[idx]
             if mig is not None:
                 self._slots[idx] = None
-                self._count -= 1
                 return mig
         return default

@@ -16,7 +16,7 @@ Partitions (relative to the current interval ``cur``):
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from ..errors import SimulationError
 
@@ -249,7 +249,8 @@ class ChunkChain:
         """
         return self._partitioned(self.from_tail(), current_interval)
 
-    def candidates_from_head(self, current_interval: int) -> List[ChunkEntry]:
+    def candidates_from_head(self, current_interval: int) -> Iterable[ChunkEntry]:
         """Eviction candidates: old partition first (LRU-first within each
-        partition), then middle, then new."""
+        partition), then middle, then new.  The array chain yields them
+        lazily; consume the result once."""
         return self._partitioned(self.from_head(), current_interval)

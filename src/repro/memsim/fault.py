@@ -34,8 +34,10 @@ class FarFault:
     A plain slotted record: ``sm`` is the replayer that re-issues the parked
     access once the page is resident (``sm.replay(vpn, is_write, time)``),
     normally the faulting :class:`~repro.engine.sm.StreamingMultiprocessor`
-    itself, so raising a fault allocates no per-fault closure.  Callers
-    without an SM pass ``on_resolve(time)`` instead.
+    itself, so raising a fault allocates no per-fault closure.  ``sm`` is
+    the fifth positional parameter because the SMs raise one fault per far
+    fault and a positional call is the cheaper one.  Callers without an SM
+    pass the keyword-only ``on_resolve(time)`` instead.
     """
 
     __slots__ = ("vpn", "sm_id", "time", "is_write", "sm")
@@ -46,8 +48,9 @@ class FarFault:
         sm_id: int,
         time: int,
         is_write: bool,
-        on_resolve: Optional[Callable[[int], None]] = None,
         sm: Any = None,
+        *,
+        on_resolve: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.vpn = vpn
         self.sm_id = sm_id

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import partial
-from itertools import groupby
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..config import SimConfig, UVMConfig
@@ -420,8 +419,9 @@ class EvictionService:
         self._check_crash_budget()
 
     def _evict_chunk_array(self, entry: ChunkEntry, time: int) -> None:
-        """Array-backend eviction: raw mask iteration over flat arrays with
-        the TLB shootdown inlined (byte-identical to the object path)."""
+        """Array-backend eviction: the resident mask's contiguous runs
+        unmapped with slices over the flat arrays, the TLB shootdown
+        inlined (byte-identical to the object path)."""
         ppc = self.uvm.pages_per_chunk
         chain = self.chain
         cid = entry.chunk_id
@@ -435,35 +435,43 @@ class EvictionService:
         insert_interval = chain._iint[li]
         base = cid * ppc
         pt = self.page_table
-        p_origin = pt._origin
+        off = base - pt._origin
         frames = pt._frames
         drt = pt._dirty
-        free_append = self.device._free.append
+        free = self.device._free
+        dirty_pages = 0
+        m = res_mask
+        while m:  # one contiguous run of resident pages at a time, ascending
+            low = m & -m
+            top = m + low
+            b0 = low.bit_length() - 1
+            i0 = off + b0
+            i1 = off + (top & -top).bit_length() - 1
+            m &= top
+            run = frames[i0:i1]
+            if -1 in run:
+                raise SimulationError(f"vpn {base + b0 + run.index(-1)} not mapped")
+            free.extend(run)
+            frames[i0:i1] = [-1] * (i1 - i0)
+            dirty_pages += drt.count(1, i0, i1)
+        evicted_pages = bin(res_mask).count("1")
         # Evicted pages that may sit in a TLB: only touched ones can, since
         # every TLB fill comes with a touch of the page, and a chunk's
         # touched mask is reset only after all its pages were shot down.
-        in_tlb: List[int] = []
-        dirty_pages = 0
-        evicted_pages = 0
-        m = res_mask
-        while m:  # ascending page order, like the object path's range loop
-            low = m & -m
-            m ^= low
-            vpn = base + low.bit_length() - 1
-            idx = vpn - p_origin
-            frame = frames[idx]
-            if frame < 0:
-                raise SimulationError(f"vpn {vpn} not mapped")
-            frames[idx] = -1
-            free_append(frame)
-            if drt[idx]:
-                dirty_pages += 1
-            evicted_pages += 1
-            if tch_mask & low:
-                in_tlb.append(vpn)
-        if in_tlb and self.translation is not None:
+        m = res_mask & tch_mask
+        if m and self.translation is not None:
+            gone: Set[int] = set()
+            while m:
+                low = m & -m
+                top = m + low
+                gone.update(
+                    range(
+                        base + low.bit_length() - 1,
+                        base + (top & -top).bit_length() - 1,
+                    )
+                )
+                m &= top
             # One shootdown per evicted page present in any TLB.
-            gone = set(in_tlb)
             hit: Set[int] = set()
             for s, keys in self._tlb_dicts:
                 common = keys & gone
@@ -472,7 +480,7 @@ class EvictionService:
                         del s[vpn]
                     hit |= common
             for sets, num in self._tlb_sets:
-                for vpn in in_tlb:
+                for vpn in gone:
                     s = sets[vpn % num]
                     if vpn in s:
                         del s[vpn]
@@ -744,7 +752,12 @@ class MigrationScheduler:
         )
         self._next_migration_token += 1
         if self._use_array:
-            self.frontend.covered.assign(batch_pages, mig)
+            # The batch as a page mask anchored at its lowest page.
+            lo = min(batch_pages)
+            mask = 0
+            for vpn in batch_pages:
+                mask |= 1 << (vpn - lo)
+            self.frontend.covered.assign(lo, mask, mig)
         else:
             for vpn in batch_pages:
                 self.frontend.cover(vpn, mig)
@@ -768,11 +781,11 @@ class MigrationScheduler:
     # ----------------------------------------------------- migration finish
 
     def complete_migration(self, mig: InFlightMigration, time: int) -> None:
-        ppc = self.uvm.pages_per_chunk
-        demand_vpns = {f.vpn for f in mig.faults}
         if self._use_array:
-            self._install_pages_array(mig, demand_vpns, time)
+            self._install_pages_array(mig, time)
         else:
+            ppc = self.uvm.pages_per_chunk
+            demand_vpns = {f.vpn for f in mig.faults}
             # Group pages by chunk (pattern prefetch stays within one chunk,
             # but the tree prefetcher can cross chunks).
             by_chunk: Dict[int, List[int]] = {}
@@ -822,22 +835,23 @@ class MigrationScheduler:
         self.stats.chain_length_peak = self.chain.length_peak
         self.pump(time)
 
-    def _install_pages_array(
-        self, mig: InFlightMigration, demand_vpns: Set[int], time: int
-    ) -> None:
-        """Array-backend page install: grow the flat arrays once for the
-        batch extremes, then write frames/masks with raw indexing.  Keeps
-        the exact per-chunk, ascending-vpn order of the object path."""
+    def _install_pages_array(self, mig: InFlightMigration, time: int) -> None:
+        """Array-backend page install over the batch's page mask: grow the
+        flat arrays once for the batch extremes, then, chunk by chunk,
+        write frames and clear accessed/dirty bits one contiguous run of
+        pages at a time with slices.  Frames leave the free list in the
+        object path's ascending-vpn order."""
         ppc = self.uvm.pages_per_chunk
-        pages = sorted(mig.pages)
+        pages = mig.pages
+        lo = min(pages)
+        hi = max(pages)
         chain = self.chain
         pt = self.page_table
         # Arrays are contiguous, so covering both extremes covers the batch.
-        pt._ensure(pages[0])
-        pt._ensure(pages[-1])
-        chain._ensure(pages[0] // ppc)
-        chain._ensure(pages[-1] // ppc)
-        p_origin = pt._origin
+        pt._ensure(lo)
+        pt._ensure(hi)
+        chain._ensure(lo // ppc)
+        chain._ensure(hi // ppc)
         frames = pt._frames
         acc = pt._accessed
         drt = pt._dirty
@@ -848,43 +862,65 @@ class MigrationScheduler:
         inch = chain._inch
         device = self.device
         free = device._free
-        if len(free) < len(pages):
+        n = len(pages)
+        if len(free) < n:
             raise CapacityError("device memory exhausted")
+        # Page masks anchored at the first chunk's first page: bit b is page
+        # ``base + b``.  Every fault of the op is for one of its pages.
+        first_chunk = lo // ppc
+        base = first_chunk * ppc
+        mask = 0
+        for vpn in pages:
+            mask |= 1 << (vpn - base)
+        demand_mask = 0
+        for fault in mig.faults:
+            demand_mask |= 1 << (fault.vpn - base)
+        full = (1 << ppc) - 1
         interval = self.clock.current_interval
         demand = 0
-        prefetched = 0
-        # ``pages`` is sorted, so each chunk's pages form one run; the C-level
-        # key (vpn // ppc) groups them without a per-page Python call.
-        for chunk_id, run in groupby(pages, ppc.__rfloordiv__):
-            vpns = list(run)
+        rest = mask
+        while rest:
+            k = ((rest & -rest).bit_length() - 1) // ppc
+            shift = k * ppc
+            cmask = (rest >> shift) & full
+            rest ^= cmask << shift
+            chunk_id = first_chunk + k
             li = chunk_id - c_origin
             is_new = not inch[li]
             if is_new:
                 chain.new_entry(chunk_id, interval)
-            base = chunk_id * ppc
-            res = res_l[li]
-            pfm = pfm_l[li]
-            for vpn in vpns:
-                idx = vpn - p_origin
-                if frames[idx] >= 0:
-                    raise SimulationError(f"vpn {vpn} already mapped")
-                frames[idx] = free.pop()
-                acc[idx] = 0
-                drt[idx] = 0
-                bit = 1 << (vpn - base)
-                res |= bit
-                if vpn in demand_vpns:
-                    demand += 1
-                else:
-                    pfm |= bit
-                    prefetched += 1
-            res_l[li] = res
-            pfm_l[li] = pfm
-            ctr_l[li] = min(16, ctr_l[li] + len(vpns))
+            off = chunk_id * ppc - pt._origin
+            m = cmask
+            while m:
+                # Lowest run of set bits: ``low`` is its first bit, and
+                # adding it carries through the run, so ``top``'s lowest
+                # bit ends it.
+                low = m & -m
+                top = m + low
+                b0 = low.bit_length() - 1
+                i0 = off + b0
+                i1 = off + (top & -top).bit_length() - 1
+                m &= top
+                run = i1 - i0
+                if max(frames[i0:i1]) >= 0:
+                    for j in range(i0, i1):
+                        if frames[j] >= 0:
+                            raise SimulationError(
+                                f"vpn {j + pt._origin} already mapped"
+                            )
+                # ``free.pop()`` per page, in one slice: last frame first.
+                frames[i0:i1] = free[:-run - 1:-1]
+                del free[-run:]
+                acc[i0:i1] = bytes(run)
+                drt[i0:i1] = bytes(run)
+            dmask = (demand_mask >> shift) & cmask
+            res_l[li] |= cmask
+            pfm_l[li] |= cmask & ~dmask
+            demand += bin(dmask).count("1")
+            ctr_l[li] = min(16, ctr_l[li] + bin(cmask).count("1"))
             if is_new:
                 self.policy.insert_chunk(chain._handle(li), time)
-        self.frontend.covered.discard(pages)
-        n = len(pages)
+        self.frontend.covered.discard(base, mask)
         device._allocated += n
         if device._allocated > device.peak_allocated:
             device.peak_allocated = device._allocated
@@ -892,7 +928,7 @@ class MigrationScheduler:
         if pt._resident > pt.resident_peak:
             pt.resident_peak = pt._resident
         self.stats.demand_pages += demand
-        self.stats.prefetched_pages += prefetched
+        self.stats.prefetched_pages += n - demand
 
 
 class MemorySystem:

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..config import SimConfig
 from ..engine.simulator import SimulationResult
-from ..errors import ConfigError, InvalidJobRequest
+from ..errors import ConfigError, InvalidJobRequest, RequestTooLarge
 from ..harness.experiment import RunSpec
 from ..registry import setup_components
 from ..workloads.suite import BENCHMARKS
@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 JSONDict = Dict[str, Any]
+
+#: Most specs one submission may carry.  ``repro regen all`` needs 438, so
+#: this leaves ample room for real batches while a request that fits the
+#: server's byte bound cannot queue tens of thousands of simulations.
+MAX_BATCH_SPECS = 4096
 
 #: RunSpec fields accepted on the wire (and their JSON spelling).
 _SPEC_FIELDS = (
@@ -132,11 +137,19 @@ def spec_to_dict(spec: RunSpec) -> JSONDict:
 
 
 def specs_from_payload(raw: Any) -> List[RunSpec]:
-    """Parse the ``specs`` list of a submission payload."""
+    """Parse the ``specs`` list of a submission payload.
+
+    A list longer than :data:`MAX_BATCH_SPECS` is refused (413) before any
+    spec is parsed.
+    """
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise InvalidJobRequest("'specs' must be a JSON list of spec objects")
     if not raw:
         raise InvalidJobRequest("'specs' must not be empty")
+    if len(raw) > MAX_BATCH_SPECS:
+        raise RequestTooLarge(
+            f"{len(raw)} specs in one batch; at most {MAX_BATCH_SPECS} allowed"
+        )
     return [spec_from_dict(entry) for entry in raw]
 
 

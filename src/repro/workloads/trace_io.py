@@ -10,6 +10,7 @@ with the same vocabulary as the paper's Table II taxonomy.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Union
@@ -67,26 +68,65 @@ def save_trace(workload: Workload, path: Union[str, Path]) -> Path:
     return path
 
 
+#: The arrays :func:`save_trace` writes, all of which :func:`load_trace` reads.
+_TRACE_FIELDS = (
+    "accesses", "writes", "footprint_pages", "name", "pattern_type",
+    "distribution",
+)
+
+
 def load_trace(path: Union[str, Path]) -> Workload:
     """Load a workload previously written by :func:`save_trace`.
 
     Accepts either the exact path :func:`save_trace` returned or the
     original suffixless argument (the fallback applies the same
-    ``.npz``-append rule the writer used).
+    ``.npz``-append rule the writer used).  A file that is not such an
+    archive — not a zip, a missing or unreadable array, a non-integer
+    ``footprint_pages`` — raises :class:`WorkloadError` naming the file and
+    the field.
     """
     path = Path(path)
     if not path.exists() and _npz_path(path).exists():
         path = _npz_path(path)
-    with np.load(path, allow_pickle=False) as data:
-        writes = data["writes"]
-        return Workload(
-            name=str(data["name"]),
-            pattern_type=str(data["pattern_type"]),
-            footprint_pages=int(data["footprint_pages"]),
-            accesses=data["accesses"],
-            writes=writes if writes.size else None,
-            distribution=str(data["distribution"]),
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise WorkloadError(
+            f"{path}: not a trace archive (.npz written by save_trace): {exc}"
+        ) from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise WorkloadError(
+            f"{path}: not a trace archive (.npz written by save_trace): "
+            "it holds a single .npy array"
         )
+    fields: Dict[str, np.ndarray] = {}
+    with archive as data:
+        for field in _TRACE_FIELDS:
+            try:
+                fields[field] = data[field]
+            except KeyError:
+                raise WorkloadError(
+                    f"{path}: trace archive has no {field!r} array"
+                ) from None
+            except (ValueError, zipfile.BadZipFile) as exc:
+                raise WorkloadError(
+                    f"{path}: cannot read the {field!r} array: {exc}"
+                ) from exc
+    footprint = fields["footprint_pages"]
+    if footprint.shape != () or not np.issubdtype(footprint.dtype, np.integer):
+        raise WorkloadError(
+            f"{path}: 'footprint_pages' must be an integer scalar, got "
+            f"{footprint.dtype} array of shape {footprint.shape}"
+        )
+    writes = fields["writes"]
+    return Workload(
+        name=str(fields["name"]),
+        pattern_type=str(fields["pattern_type"]),
+        footprint_pages=int(footprint),
+        accesses=fields["accesses"],
+        writes=writes if writes.size else None,
+        distribution=str(fields["distribution"]),
+    )
 
 
 def downsample(workload: Workload, factor: int) -> Workload:

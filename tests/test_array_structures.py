@@ -36,7 +36,9 @@ from repro.memsim.array_backend import (
 from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
 from repro.memsim.page_table import PageTable
 from repro.policies.base import PolicyContext
+from repro.policies.hpe import HPEPolicy
 from repro.policies.lru import LRUPolicy
+from repro.policies.mhpe import MHPEPolicy
 from repro.policies.reserved_lru import ReservedLRUPolicy
 
 #: A few ids below / around zero, a band at the workload base: exercises
@@ -228,14 +230,33 @@ class TestArrayChainFootprint:
         assert slots <= footprint_chunks + 2 * _PAD_CHUNKS
 
 
-def _policy_on(chain, policy):
+def _policy_on(chain, policy, **ctx):
     policy.attach(
         PolicyContext(
             chain=chain, stats=SimStats(), config=SimConfig(),
-            rng=random.Random(0),
+            rng=random.Random(0), **ctx,
         )
     )
     return policy
+
+
+class _Clock:
+    """A fixed interval source."""
+
+    def __init__(self, interval):
+        self.current_interval = interval
+
+
+class _ReadLog(list):
+    """A list that logs the indices it is read at."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
 
 
 def _filled(chain, residents):
@@ -287,6 +308,21 @@ class TestLazyVictimScan:
         assert visited == [0x8000, 0x8001, 0x8002]
         assert len(visited) < len(chain)
 
+    @pytest.mark.parametrize("policy_cls", [MHPEPolicy, HPEPolicy])
+    def test_head_order_early_stop_visits_a_prefix(self, policy_cls):
+        chain = _filled(ArrayChunkChain(), self.RESIDENTS)
+        visited = []
+        chain._lref = _ReadLog(chain._lref, visited)
+        # Every chunk was last referenced in interval 0: all are old at 5.
+        policy = _policy_on(chain, policy_cls(), clock=_Clock(5))
+        if policy_cls is MHPEPolicy:
+            policy.strategy = "lru"
+        else:
+            policy._strategy = "lru"
+        victims = policy.select_victims(18, time=0)
+        assert [v.chunk_id for v in victims] == [0x8000, 0x8002]
+        assert [li + chain._origin for li in visited] == [0x8000, 0x8001, 0x8002]
+
     @pytest.mark.parametrize("chain_cls", [ArrayChunkChain, ChunkChain])
     @pytest.mark.parametrize("frames_needed", [1, 17, 60, 120, 142])
     def test_reserved_lru_matches_eager_scan(self, chain_cls, frames_needed):
@@ -318,6 +354,43 @@ class TestArrayCoverage:
                 assert arr.get(vpn) is obj.get(vpn)
             assert len(arr) == len(obj)
             assert (vpn in arr) == (vpn in obj)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(), VPNS, st.integers(min_value=1, max_value=2**20 - 1)
+            ),
+            max_size=30,
+        )
+    )
+    def test_mask_runs_match_dict(self, ops):
+        def pages(base, mask):
+            return [base + b for b in range(mask.bit_length()) if mask >> b & 1]
+
+        arr = ArrayCoverage()
+        obj = {}
+        assigned = []
+        for is_assign, base, mask in ops:
+            if not is_assign and assigned:
+                # Uncover part of an earlier batch: migrations only uncover
+                # pages that some batch covered.
+                base, earlier = assigned[base % len(assigned)]
+                mask &= earlier
+                arr.discard(base, mask)
+                for vpn in pages(base, mask):
+                    obj.pop(vpn, None)
+            else:
+                token = object()  # stands in for an InFlightMigration
+                arr.assign(base, mask, token)
+                assigned.append((base, mask))
+                for vpn in pages(base, mask):
+                    obj[vpn] = token
+            assert len(arr) == len(obj)
+            for base_, mask_ in assigned:
+                for vpn in pages(base_, mask_):
+                    assert arr.get(vpn) is obj.get(vpn)
 
 
 class TestUnpackMasks:

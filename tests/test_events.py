@@ -1,8 +1,10 @@
 """Event queue (repro.engine.events)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.events import Event, EventQueue
+from repro.engine.events import EventQueue
 from repro.errors import SimulationError
 
 
@@ -51,25 +53,6 @@ class TestScheduling:
             q.schedule_after(-1, lambda t: None)
 
 
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        q = EventQueue()
-        fired = []
-        ev = q.schedule(10, lambda t: fired.append("cancelled"))
-        q.schedule(20, lambda t: fired.append("kept"))
-        ev.cancel()
-        q.run()
-        assert fired == ["kept"]
-
-    def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        ev = q.schedule(10, lambda t: None)
-        q.schedule(20, lambda t: None)
-        assert len(q) == 2
-        ev.cancel()
-        assert len(q) == 1
-
-
 class TestRun:
     def test_run_returns_dispatch_count(self):
         q = EventQueue()
@@ -105,3 +88,47 @@ class TestRun:
 
     def test_pop_returns_none_when_empty(self):
         assert EventQueue().pop() is None
+
+    def test_pop_returns_time_and_callback(self):
+        q = EventQueue()
+        fired = []
+        q.schedule(7, fired.append)
+        assert len(q) == 1
+        time, callback = q.pop()
+        assert (time, q.now, len(q)) == (7, 7, 0)
+        callback(time)
+        assert fired == [7]
+
+
+class _Unorderable:
+    """A callback that refuses comparison: equal-time events must be
+    ordered without ever looking at their callbacks."""
+
+    def __init__(self, label, fired):
+        self.label = label
+        self.fired = fired
+
+    def __call__(self, time):
+        self.fired.append((time, self.label))
+
+    def __lt__(self, other):
+        raise TypeError("callbacks are not orderable")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+class TestDispatchOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(times=st.lists(st.integers(min_value=0, max_value=6), max_size=40))
+    def test_dispatch_is_stable_sort_by_time(self, times):
+        q = EventQueue()
+        fired = []
+        for label, time in enumerate(times):
+            q.schedule(time, _Unorderable(label, fired))
+        assert len(q) == len(times)
+        assert q.run() == len(times)
+        # sorted() is stable: ties keep schedule order.
+        assert fired == sorted(
+            ((time, label) for label, time in enumerate(times)),
+            key=lambda pair: pair[0],
+        )

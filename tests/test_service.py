@@ -47,10 +47,12 @@ from repro.service import (
     make_server,
 )
 from repro.service.wire import (
+    MAX_BATCH_SPECS,
     config_from_overrides,
     load_event_schema,
     spec_from_dict,
     spec_to_dict,
+    specs_from_payload,
     validate_event,
     validate_event_lines,
 )
@@ -159,6 +161,10 @@ class TestEventBus:
 
 
 class TestWire:
+    def test_spec_bound_admits_a_full_batch(self):
+        specs = specs_from_payload([{"app": "STN", "setup": "baseline"}] * MAX_BATCH_SPECS)
+        assert len(specs) == MAX_BATCH_SPECS
+
     def test_spec_round_trip(self):
         spec = spec_from_dict(SPEC)
         assert spec == RunSpec("STN", "baseline", 0.5, scale=0.25)
@@ -766,6 +772,18 @@ class TestRequestFraming:
         assert payload["type"] == "RequestTooLarge"
         # the server is still serving after the refusals
         assert client.health()["ok"] is True
+
+    def test_spec_count_over_bound_is_413(self, http_service):
+        from repro.service.server import _MAX_REQUEST_BYTES
+
+        _, client = http_service
+        specs = [{"app": "STN", "setup": "baseline"}] * (MAX_BATCH_SPECS + 1)
+        # Within the byte bound: the spec bound alone refuses it.
+        assert len(json.dumps({"specs": specs})) < _MAX_REQUEST_BYTES
+        with pytest.raises(ServiceError) as err:
+            client.submit({"specs": specs})
+        assert "413" in str(err.value)
+        assert client.list_batches()["batches"] == []
 
     def test_length_past_int_digit_limit_is_413(self, http_service):
         _, client = http_service

@@ -118,3 +118,44 @@ class TestReplayableFaults:
         events.run()
         assert sm.done
         assert stats.accesses == 128
+
+
+class TestTranslationCounters:
+    """The TLB/walker/PWC objects' own counters agree with the shared
+    stats after a run, whichever path counted them: the fused array loop
+    folds per-SM totals into the objects when each SM finishes."""
+
+    @pytest.mark.parametrize(
+        "backend,dram", [("array", False), ("array", True), ("object", False)]
+    )
+    def test_object_counters_sum_to_stats(self, backend, dram):
+        from conftest import make_simple_workload
+
+        from repro.engine.simulator import Simulator
+
+        rng = np.random.default_rng(7)
+        workload = make_simple_workload(
+            footprint=512, accesses=rng.integers(0, 512, size=6000)
+        )
+        config = SimConfig(
+            sm=SMConfig(num_sms=4),
+            translation=TranslationConfig(use_dram_model=dram),
+            backend=backend,
+        )
+        sim = Simulator(workload, oversubscription=0.5, config=config)
+        result = sim.run()
+        stats = result.stats
+        tr = sim.translation
+        assert not result.crashed and stats.accesses == 6000
+        assert stats.far_faults > 0 and stats.l2_tlb_hits > 0
+        for sm, l1 in zip(sim.sms, tr.l1_tlbs):
+            assert l1.hits + l1.misses == len(sm.trace)
+        assert sum(t.hits for t in tr.l1_tlbs) == stats.l1_tlb_hits
+        assert sum(t.misses for t in tr.l1_tlbs) == stats.l1_tlb_misses
+        assert tr.l2_tlb.hits == stats.l2_tlb_hits
+        assert tr.l2_tlb.misses == stats.l2_tlb_misses
+        assert tr.walker.walks == stats.page_walks
+        assert tr.pwc.hits == stats.pwc_hits > 0
+        assert tr.pwc.misses == stats.pwc_misses > 0
+        assert tr.walker.total_queue_delay == stats.walker_queue_delay_cycles
+        assert tr.walker.total_walk_cycles > 0

@@ -102,6 +102,37 @@ class TestReturnPathParity:
             assert np.array_equal(load_trace(returned).accesses, wl.accesses)
 
 
+class TestMalformedTraceFiles:
+    """load_trace names the file and the field for a malformed archive."""
+
+    def _saved_fields(self, tmp_path):
+        path = save_trace(make_simple_workload(footprint=64), tmp_path / "t.npz")
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+
+    def test_non_zip_file(self, tmp_path):
+        path = tmp_path / "notes.npz"
+        path.write_text("not a trace\n")
+        with pytest.raises(WorkloadError, match="notes.npz: not a trace archive"):
+            load_trace(path)
+
+    def test_missing_array(self, tmp_path):
+        fields = self._saved_fields(tmp_path)
+        del fields["writes"]
+        path = tmp_path / "partial.npz"
+        np.savez(path, **fields)
+        with pytest.raises(WorkloadError, match="partial.npz: .*'writes'"):
+            load_trace(path)
+
+    def test_non_integer_footprint(self, tmp_path):
+        fields = self._saved_fields(tmp_path)
+        fields["footprint_pages"] = np.str_("many")
+        path = tmp_path / "badfoot.npz"
+        np.savez(path, **fields)
+        with pytest.raises(WorkloadError, match="badfoot.npz: 'footprint_pages'"):
+            load_trace(path)
+
+
 class TestDownsample:
     def test_keeps_every_nth(self):
         wl = make_simple_workload()
