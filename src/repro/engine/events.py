@@ -62,7 +62,8 @@ class EventQueue:
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the queue, dispatching callbacks.  Returns events dispatched.
 
-        ``max_events`` guards against runaway simulations.
+        ``max_events`` guards against runaway simulations: it raises only
+        when events are still queued after that many dispatches.
         """
         heap = self._heap
         budget = None if max_events is None else max(max_events, 0)
@@ -72,4 +73,6 @@ class EventQueue:
             time, _, callback = heappop(heap)
             self._now = time
             callback(time)
+        if not heap:
+            return budget
         raise SimulationError(f"event budget exhausted after {budget} events")

@@ -83,6 +83,13 @@ class TestRun:
         with pytest.raises(SimulationError):
             q.run(max_events=100)
 
+    def test_budget_spent_exactly_on_an_emptied_queue(self):
+        q = EventQueue()
+        fired = []
+        q.schedule(0, fired.append)
+        assert q.run(max_events=1) == 1
+        assert fired == [0] and len(q) == 0
+
     def test_empty_queue_returns_zero(self):
         assert EventQueue().run() == 0
 
