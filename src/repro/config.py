@@ -11,6 +11,12 @@ Page walk cache       8 KB, 16-way, 10-cycle latency
 DRAM                  flat-latency model (see DESIGN.md deviation #4)
 CPU-GPU interconnect  16 GB/s, 20 us page fault service time
 ====================  ======================================================
+
+Every field describes the simulated system, so every field can change a
+result and enters the result-cache key whole
+(:func:`repro.harness.cache.config_fingerprint`).  Nothing here selects an
+implementation: the simulator has one set of data structures (DESIGN.md
+§10).
 """
 
 from __future__ import annotations
@@ -271,22 +277,6 @@ class SimConfig:
     hpe: HPEConfig = field(default_factory=HPEConfig)
     pattern_buffer: PatternBufferConfig = field(default_factory=PatternBufferConfig)
     seed: int = 0
-    #: Simulation data-structure backend.  ``"array"`` (the default) is the
-    #: flat-array fast path (``repro.memsim.array_backend``); ``"object"``
-    #: is the reference implementation (per-page dicts, linked ChunkEntry
-    #: objects), kept only as the differential oracle of
-    #: ``tests/test_backend_differential.py`` and the pinned digests of
-    #: ``tests/test_golden_digests.py``.  Because both backends produce
-    #: identical results, ``backend`` is deliberately excluded from the
-    #: cache fingerprints (:func:`repro.harness.cache.config_fingerprint`)
-    #: so they share cached entries.
-    backend: str = "array"
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("object", "array"):
-            raise ConfigError(
-                f"backend must be 'object' or 'array', got {self.backend!r}"
-            )
 
     def with_(self, **kwargs: Any) -> "SimConfig":
         """Return a copy with the given top-level fields replaced."""

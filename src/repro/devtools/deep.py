@@ -14,9 +14,9 @@ precomputes everything the REPRO5xx/6xx rules consume:
   (``harness.experiment._execute`` / ``_execute_traced``), the single seam
   every simulation funnels through;
 * the **fingerprint closure** — functions reachable from any fingerprint
-  function (``spec_fingerprint``/``config_fingerprint`` and helpers such as
-  ``_config_payload``), which is where hash *elisions* (``del
-  payload["backend"]``) are collected from;
+  function (``spec_fingerprint``/``config_fingerprint`` and their
+  helpers), which is where hash *elisions* (``del
+  spec_fields["instances"]``) are collected from;
 * the hashed dataclasses (the classes fingerprint functions annotate),
   their declared fields, and every config/spec attribute read recorded in
   the simulation closure;

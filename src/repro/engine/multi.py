@@ -111,9 +111,8 @@ class ShardedSimulator:
                 translation=translation,
                 footprint_pages=workload.footprint_pages,
                 obs=self.obs,
+                page_table=page_table,
             )
-            if translation is None:
-                system.page_table = page_table
             self.translations.append(translation)
             self.systems.append(system)
 

@@ -20,7 +20,6 @@ from typing import Optional
 
 from ..config import SimConfig
 from ..errors import SimulationError, ThrashingCrash
-from ..memsim.array_backend import ArrayPageTable
 from ..memsim.page_table import PageTable
 from ..memsim.system import MemorySystem
 from ..obs import DISABLED, Observability
@@ -41,17 +40,14 @@ DEFAULT_MAX_EVENTS = 100_000_000
 
 
 def build_page_table(config: SimConfig, workload: Workload) -> PageTable:
-    """Page table for ``workload`` under ``config.backend``.
+    """Page table for ``workload``, shared by the walker and the memory system.
 
-    The array backend pre-sizes its flat frame ledger to the workload's
-    rebased VPN range so the simulation itself never grows the arrays (the
-    ``_ensure`` growth path exists for robustness, not the steady state).
+    The flat frame ledger is pre-sized to the workload's rebased VPN range
+    so the simulation itself never grows the arrays (the ``_ensure`` growth
+    path exists for robustness, not the steady state).
     """
-    levels = config.translation.walker.levels
-    if config.backend != "array":
-        return PageTable(levels)
-    return ArrayPageTable(
-        levels,
+    return PageTable(
+        config.translation.walker.levels,
         origin_hint=workload.base_vpn,
         size_hint=workload.footprint_pages + 1,
     )
@@ -143,13 +139,10 @@ class Simulator:
             translation=self.translation,
             footprint_pages=workload.footprint_pages,
             obs=self.obs,
+            page_table=page_table,
         )
         #: Back-compat alias for the pre-refactor attribute name.
         self.gmmu = self.memory
-        if self.translation is None:
-            # The memory system built its own page table; keep a single
-            # source of truth (the setter rebinds every stage).
-            self.memory.page_table = page_table
 
         self._finished_sms = 0
         self.sms = []

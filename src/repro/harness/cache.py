@@ -89,15 +89,6 @@ class FingerprintElision:
 #: documents an entire object that never reaches the cache key.
 FINGERPRINT_ELISIONS: Tuple[FingerprintElision, ...] = (
     FingerprintElision(
-        dataclass_name="SimConfig",
-        field="backend",
-        reason=(
-            "backend selects between implementations proven byte-identical "
-            "(tests/test_backend_differential.py); both must share cache "
-            "entries, and the key space predates the field"
-        ),
-    ),
-    FingerprintElision(
         dataclass_name="RunSpec",
         field="instances",
         reason=(
@@ -123,28 +114,15 @@ def _canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _config_payload(config: SimConfig) -> Dict[str, object]:
-    """Hashable view of a config: ``asdict`` minus result-neutral fields.
-
-    ``backend`` selects between two implementations that are proven
-    byte-identical (``tests/test_backend_differential.py``), so it must not
-    enter the hash: both backends share cache entries, and the key space
-    predates the field.  Everything else reaches the hash by whole-object
-    construction (REPRO201).
-    """
-    payload = dataclasses.asdict(config)
-    del payload["backend"]
-    return payload
-
-
 def config_fingerprint(config: Optional[SimConfig]) -> str:
     """Stable content hash of a :class:`SimConfig` (``None`` = defaults).
 
     ``None`` and an explicitly constructed default ``SimConfig()`` hash
-    identically — they run identical simulations.
+    identically — they run identical simulations.  Every field reaches the
+    hash by whole-object construction (REPRO201).
     """
     effective = config if config is not None else SimConfig()
-    blob = _canonical_json(_config_payload(effective))
+    blob = _canonical_json(dataclasses.asdict(effective))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -169,7 +147,7 @@ def spec_fingerprint(
     payload = {
         "schema": schema_version,
         "spec": spec_fields,
-        "config": _config_payload(effective),
+        "config": dataclasses.asdict(effective),
     }
     # Component identity sections derive from the registry's declared
     # ``fingerprint_fields``.  In-tree setups contribute nothing — the

@@ -10,22 +10,9 @@ faults to same-chunk pages *not* covered queue as fresh faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 __all__ = ["FarFault", "InFlightMigration"]
-
-
-class _CallbackReplayer:
-    """Adapter giving a bare ``on_resolve(time)`` callback the SM's
-    ``replay(vpn, is_write, time)`` surface (faults raised outside an SM)."""
-
-    __slots__ = ("_callback",)
-
-    def __init__(self, callback: Callable[[int], None]) -> None:
-        self._callback = callback
-
-    def replay(self, vpn: int, is_write: bool, time: int) -> None:
-        self._callback(time)
 
 
 class FarFault:
@@ -36,8 +23,8 @@ class FarFault:
     normally the faulting :class:`~repro.engine.sm.StreamingMultiprocessor`
     itself, so raising a fault allocates no per-fault closure.  ``sm`` is
     the fifth positional parameter because the SMs raise one fault per far
-    fault and a positional call is the cheaper one.  Callers without an SM
-    pass the keyword-only ``on_resolve(time)`` instead.
+    fault and a positional call is the cheaper one.  Anything with that
+    ``replay`` method can stand in for an SM.
     """
 
     __slots__ = ("vpn", "sm_id", "time", "is_write", "sm")
@@ -49,18 +36,12 @@ class FarFault:
         time: int,
         is_write: bool,
         sm: Any = None,
-        *,
-        on_resolve: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.vpn = vpn
         self.sm_id = sm_id
         self.time = time
         self.is_write = is_write
-        self.sm = sm if on_resolve is None else _CallbackReplayer(on_resolve)
-
-    def on_resolve(self, time: int) -> None:
-        """Replay the parked access at ``time`` (the page is resident)."""
-        self.sm.replay(self.vpn, self.is_write, time)
+        self.sm = sm
 
     def trace_args(self) -> Dict[str, Any]:
         """Structured-event payload for the observability tracer."""
@@ -79,12 +60,6 @@ class InFlightMigration:
     #: Issue-order token assigned by the GMMU; stable across processes
     #: (unlike ``id()``), so it can key bookkeeping tables.
     token: int = -1
-
-    def covers(self, vpn: int) -> bool:
-        return vpn in self.pages
-
-    def attach(self, fault: FarFault) -> None:
-        self.faults.append(fault)
 
     def trace_args(self) -> Dict[str, Any]:
         """Structured-event payload for the observability tracer."""

@@ -3,17 +3,24 @@
 Two roles:
 
 1. **Residency map** — VPN -> physical frame for pages currently in device
-   memory, plus per-page *accessed* and *dirty* bits.  The accessed bit is
-   what the UVM driver reads back when it unmaps a chunk at eviction time;
-   it is the source of MHPE's untouch-level statistic (see DESIGN.md).
+   memory, plus per-page *accessed* and *dirty* bits.  The memory-system
+   stages write these in place: migration completion installs frames and
+   clears both bits, the SM sets them on every access, and eviction frees
+   the frames and counts the dirty pages it writes back.
 2. **Walk structure model** — a 4-level radix tree (512-ary, 9 bits per
    level, as in x86-64).  The page-table walker asks for the per-level node
    keys of a VPN so that the page walk cache can cache upper levels.
+
+Representation (DESIGN.md §10): ``_frames[vpn - _origin]`` holds the
+physical frame (``-1`` = unmapped); accessed/dirty bits live in parallel
+bytearrays.  All three grow in place at either end (:meth:`_ensure`), so
+their identity is stable for the life of the table and hot loops may hoist
+them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import SimulationError
 
@@ -21,72 +28,52 @@ __all__ = ["PageTable"]
 
 _BITS_PER_LEVEL = 9
 
+#: Slack appended/prepended when the arrays must grow, so growth is
+#: amortised instead of per-page.
+_PAD_PAGES = 4096
+
 
 class PageTable:
-    """Radix page table with residency and access/dirty tracking."""
+    """Radix page table with residency and access/dirty tracking over flat
+    origin-offset arrays."""
 
-    __slots__ = ("levels", "_entries", "resident_peak")
+    __slots__ = ("levels", "_frames", "_accessed", "_dirty", "_origin")
 
-    def __init__(self, levels: int = 4):
+    def __init__(
+        self, levels: int = 4, origin_hint: int = 0, size_hint: int = 0
+    ) -> None:
         if levels <= 0:
             raise SimulationError("page table needs at least one level")
         self.levels = levels
-        # vpn -> [frame, accessed, dirty]
-        self._entries: Dict[int, List] = {}
-        self.resident_peak = 0
+        self._origin = origin_hint
+        n = max(size_hint, _PAD_PAGES)
+        self._frames: List[int] = [-1] * n
+        self._accessed = bytearray(n)
+        self._dirty = bytearray(n)
 
-    # --- residency --------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, vpn: int) -> bool:
-        return vpn in self._entries
+    def _ensure(self, vpn: int) -> int:
+        """Local index for ``vpn``, growing the arrays in place if needed."""
+        idx = vpn - self._origin
+        if idx < 0:
+            pad = max(-idx, _PAD_PAGES)
+            self._frames[:0] = [-1] * pad
+            self._accessed[:0] = bytes(pad)
+            self._dirty[:0] = bytes(pad)
+            self._origin -= pad
+            return vpn - self._origin
+        n = len(self._frames)
+        if idx >= n:
+            pad = idx - n + 1 + _PAD_PAGES
+            self._frames.extend([-1] * pad)
+            self._accessed.extend(bytes(pad))
+            self._dirty.extend(bytes(pad))
+        return idx
 
     def is_resident(self, vpn: int) -> bool:
-        return vpn in self._entries
-
-    def frame_of(self, vpn: int) -> Optional[int]:
-        entry = self._entries.get(vpn)
-        return entry[0] if entry is not None else None
-
-    def map(self, vpn: int, frame: int) -> None:
-        """Install a translation.  Pages arrive untouched and clean."""
-        if vpn in self._entries:
-            raise SimulationError(f"vpn {vpn} already mapped")
-        self._entries[vpn] = [frame, False, False]
-        if len(self._entries) > self.resident_peak:
-            self.resident_peak = len(self._entries)
-
-    def unmap(self, vpn: int) -> Tuple[int, bool, bool]:
-        """Remove a translation; returns (frame, accessed, dirty)."""
-        entry = self._entries.pop(vpn, None)
-        if entry is None:
-            raise SimulationError(f"vpn {vpn} not mapped")
-        return entry[0], entry[1], entry[2]
-
-    def record_access(self, vpn: int, is_write: bool = False) -> None:
-        """Set the accessed (and possibly dirty) bit, as MMU hardware would."""
-        entry = self._entries.get(vpn)
-        if entry is None:
-            raise SimulationError(f"access to non-resident vpn {vpn}")
-        entry[1] = True
-        if is_write:
-            entry[2] = True
-
-    def accessed(self, vpn: int) -> bool:
-        entry = self._entries.get(vpn)
-        return bool(entry and entry[1])
-
-    def dirty(self, vpn: int) -> bool:
-        entry = self._entries.get(vpn)
-        return bool(entry and entry[2])
-
-    def resident_vpns(self) -> List[int]:
-        """Snapshot of resident VPNs (sorted, for deterministic iteration)."""
-        return sorted(self._entries)
-
-    # --- walk structure ----------------------------------------------------
+        idx = vpn - self._origin
+        if 0 <= idx < len(self._frames):
+            return self._frames[idx] >= 0
+        return False
 
     def node_keys(self, vpn: int) -> Tuple[Tuple[int, int], ...]:
         """Per-level node identifiers touched by a walk for ``vpn``.

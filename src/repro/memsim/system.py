@@ -20,8 +20,10 @@ reaching into each other's internals — which is what makes multiple
 :class:`MemorySystem` instances on one event queue (multi-GPU scenarios,
 see ``repro.engine.multi``) expressible.
 
-The decomposition is behavior-preserving: ``tests/test_system_differential.py``
-proves byte-identical results and traces against the pre-refactor monolith.
+The structures every stage shares — the page table, the chunk chain and
+the coverage map — are flat origin-offset arrays (DESIGN.md §10), and the
+hot stages work on them directly.  ``tests/test_golden_digests.py`` pins
+results, traces and metrics byte for byte.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ..policies.random_policy import RandomPolicy
 from ..policies.reserved_lru import ReservedLRUPolicy
 from ..prefetch.base import PrefetchContext, Prefetcher
 from ..translation.hierarchy import TranslationHierarchy
-from .array_backend import ArrayChunkChain, ArrayCoverage, ArrayPageTable
+from .array_backend import ArrayCoverage
 from .chunk_chain import ChunkChain, ChunkEntry
 from .device_memory import DeviceMemory
 from .fault import FarFault, InFlightMigration
@@ -63,11 +65,11 @@ __all__ = [
 
 
 def policy_touch_kind(policy: EvictionPolicy) -> Optional[str]:
-    """Classify a policy's ``on_page_touched`` for the array fast path.
+    """Classify a policy's ``on_page_touched`` for the fused touch paths.
 
     Exact ``type()`` matches only: a subclass may override the hook, so it
     falls through to ``None`` (= call the hook dynamically).  The returned
-    kind names the touch side-effect recipe the fast paths replay inline:
+    kind names the touch side-effect recipe those paths replay inline:
 
     * ``"lru"``  — move to tail, refresh ``last_ref_interval``;
     * ``"hpe"``  — saturating counter bump, move to tail, refresh;
@@ -208,69 +210,24 @@ class FaultFrontend:
     Owns the pending-fault queue and the coverage map (vpn → in-flight
     migration).  A fault whose page is already on its way merges into that
     migration (the replayable far-fault hardware of [9]); everything else
-    queues for the scheduler.
+    queues for the scheduler.  :meth:`MemorySystem.handle_fault` runs the
+    intake itself, on this stage's state.
     """
 
-    def __init__(
-        self,
-        uvm: UVMConfig,
-        stats: SimStats,
-        policy: EvictionPolicy,
-        clock: IntervalClock,
-        obs: Observability,
-    ) -> None:
-        self.uvm = uvm
+    def __init__(self, stats: SimStats, obs: Observability) -> None:
         self.stats = stats
-        self.policy = policy
-        self.clock = clock
         self._trace = obs.tracer
         self.pending: Deque[FarFault] = deque()
         #: vpn -> the in-flight migration that will install it.
-        self.covered: Dict[int, InFlightMigration] = {}
+        self.covered = ArrayCoverage()
         metrics = obs.metrics
         self._m_faults = metrics.counter("gmmu.far_faults")
         self._m_merged = metrics.counter("gmmu.merged_faults")
-
-    def covering(self, vpn: int) -> Optional[InFlightMigration]:
-        return self.covered.get(vpn)
-
-    def cover(self, vpn: int, mig: InFlightMigration) -> None:
-        self.covered[vpn] = mig
-
-    def uncover(self, vpn: int) -> None:
-        self.covered.pop(vpn, None)
 
     def note_merged(self) -> None:
         """Account one merged (deduplicated) fault."""
         self.stats.merged_faults += 1
         self._m_merged.inc()
-
-    def merge(self, fault: FarFault, mig: InFlightMigration) -> None:
-        """Attach ``fault`` to an in-flight migration that covers its page."""
-        mig.attach(fault)
-        self.note_merged()
-
-    def intake(self, fault: FarFault) -> bool:
-        """Accept one far fault; returns True when it was queued (i.e. the
-        scheduler should pump) and False when it merged in flight."""
-        self.stats.far_faults += 1
-        self.clock.note_fault()
-        self._m_faults.inc()
-        ppc = self.uvm.pages_per_chunk
-        self.policy.on_fault(fault.vpn, fault.vpn // ppc, fault.time)
-        if self._trace.enabled:
-            self._trace.emit(
-                "fault", fault.time, chunk=fault.vpn // ppc,
-                **fault.trace_args(),
-            )
-
-        covering = self.covered.get(fault.vpn)
-        if covering is not None:
-            # The page is already on its way: merge.
-            self.merge(fault, covering)
-            return False
-        self.pending.append(fault)
-        return True
 
 
 class EvictionService:
@@ -313,10 +270,7 @@ class EvictionService:
         self._memory_full_seen = False
         self._footprint_pages = footprint_pages
         self._m_evictions = obs.metrics.counter("gmmu.chunks_evicted")
-        #: Maintained by MemorySystem (chain and page table must both be
-        #: array-backed before the fused eviction path is safe).
-        self._use_array = False
-        # Set-level shootdown targets for the fused path: a fully
+        # Set-level shootdown targets: a fully
         # associative TLB is one dict, whose (live) key view is intersected
         # with the evicted vpns in C; a set-associative one keeps the
         # per-page probe.
@@ -346,9 +300,8 @@ class EvictionService:
             self.policy.on_memory_full(time)
         shortfall = frames_needed - self.ledger.free_unreserved
         victims = self.policy.select_victims(shortfall, time)
-        evict = self._evict_chunk_array if self._use_array else self.evict_chunk
         for entry in victims:
-            evict(entry, time)
+            self.evict_chunk(entry, time)
         if self.ledger.free_unreserved < frames_needed:
             raise SimulationError(
                 f"policy {self.policy.name} freed "
@@ -358,70 +311,11 @@ class EvictionService:
         return len(victims)
 
     def evict_chunk(self, entry: ChunkEntry, time: int) -> None:
-        """Unmap every resident page of ``entry`` and retire its metadata."""
-        ppc = self.uvm.pages_per_chunk
-        base = entry.chunk_id * ppc
-        dirty_pages = 0
-        evicted_pages = 0
-        for i in range(ppc):
-            if not entry.is_resident(i):
-                continue
-            vpn = base + i
-            frame, accessed, dirty = self.page_table.unmap(vpn)
-            self.device.free(frame)
-            if self.translation is not None:
-                self.translation.shootdown(vpn)
-            if dirty:
-                dirty_pages += 1
-            evicted_pages += 1
-            entry.clear_resident(i)
-        # Residency cleared above, so untouch accounting reads the masks as
-        # they stood at unmap time via the snapshot below.
-        self.chain.remove(entry.chunk_id)
-        self.stats.chunks_evicted += 1
-        self.stats.pages_evicted += evicted_pages
-        self.stats.dirty_pages_written_back += dirty_pages
-        self.clock.note_eviction()
-        self._m_evictions.inc()
-        if dirty_pages:
-            # Writebacks ride the duplex link: bytes counted, latency not on
-            # the fault-service critical path (see DESIGN.md).
-            self.pcie.transfer_to_host(dirty_pages, time=time)
-            self.stats.bytes_device_to_host = self.pcie.bytes_to_host
-        # Prefetch accuracy accounting.
-        touched_prefetched = bin(entry.prefetch_mask & entry.touched_mask).count("1")
-        self.stats.prefetched_pages_touched += touched_prefetched
+        """Unmap every resident page of ``entry`` and retire its metadata.
 
-        # Untouch level must reflect what was migrated, so give the policy a
-        # snapshot with residency restored.  Every migrated page is either a
-        # prefetched page (prefetch_mask) or a demand page, and demand pages
-        # are touched on fault replay before any later eviction can run, so
-        # touched|prefetch is exactly the pre-eviction residency.
-        snapshot = ChunkEntry(entry.chunk_id, entry.insert_interval)
-        snapshot.resident_mask = entry.touched_mask | entry.prefetch_mask
-        snapshot.touched_mask = entry.touched_mask
-        snapshot.prefetch_mask = entry.prefetch_mask
-        snapshot.counter = entry.counter
-        if self._trace.enabled:
-            self._trace.emit(
-                "eviction", time, chunk=entry.chunk_id, pages=evicted_pages,
-                dirty=dirty_pages, untouch=snapshot.untouch_level(),
-                strategy=self.policy.current_strategy,
-            )
-        self.policy.on_chunk_evicted(snapshot, time)
-        self.prefetcher.on_chunk_evicted(
-            entry.chunk_id,
-            entry.touched_mask,
-            snapshot.untouch_level(),
-            self.policy.current_strategy,
-            time=time,
-        )
-        self._check_crash_budget()
-
-    def _evict_chunk_array(self, entry: ChunkEntry, time: int) -> None:
-        """Array-backend eviction: the resident mask's contiguous runs
-        unmapped with slices over the flat arrays, the TLB shootdown
-        inlined (byte-identical to the object path)."""
+        The resident mask's contiguous runs are unmapped with slices over
+        the flat arrays, and evicted pages are shot down per TLB set.
+        """
         ppc = self.uvm.pages_per_chunk
         chain = self.chain
         cid = entry.chunk_id
@@ -488,7 +382,6 @@ class EvictionService:
             if hit:
                 self.stats.tlb_shootdowns += len(hit)
         chain._res[li] = 0
-        pt._resident -= evicted_pages
         self.device._allocated -= evicted_pages
         self.chain.remove(cid)
         self.stats.chunks_evicted += 1
@@ -497,9 +390,17 @@ class EvictionService:
         self.clock.note_eviction()
         self._m_evictions.inc()
         if dirty_pages:
+            # Writebacks ride the duplex link: bytes counted, latency not on
+            # the fault-service critical path (see DESIGN.md).
             self.pcie.transfer_to_host(dirty_pages, time=time)
             self.stats.bytes_device_to_host = self.pcie.bytes_to_host
+        # Prefetch accuracy accounting.
         self.stats.prefetched_pages_touched += bin(pfm_mask & tch_mask).count("1")
+        # Untouch level must reflect what was migrated, so give the policy a
+        # snapshot with residency restored.  Every migrated page is either a
+        # prefetched page (prefetch_mask) or a demand page, and demand pages
+        # are touched on fault replay before any later eviction can run, so
+        # touched|prefetch is exactly the pre-eviction residency.
         snapshot = ChunkEntry(cid, insert_interval)
         snapshot.resident_mask = tch_mask | pfm_mask
         snapshot.touched_mask = tch_mask
@@ -576,8 +477,6 @@ class MigrationScheduler:
         self._next_migration_token = 0
         self._active_services = 0
         self._h_batch = obs.metrics.histogram("gmmu.batch_pages")
-        #: Maintained by MemorySystem (see EvictionService._use_array).
-        self._use_array = False
 
     # ------------------------------------------------------- service loop
 
@@ -590,10 +489,6 @@ class MigrationScheduler:
         """
         pending = self.frontend.pending
         parallelism = self.uvm.fault_parallelism
-        if not self._use_array:
-            while self._active_services < parallelism and pending:
-                self.begin_service(pending.popleft(), time)
-            return
         pt = self.page_table
         frames = pt._frames
         covered = self.frontend.covered
@@ -626,18 +521,16 @@ class MigrationScheduler:
     def _skip_predicate(self, in_batch: Set[int]) -> Callable[[int], bool]:
         """The prefetchers' skip test for one service op: resident, already
         in flight, or already claimed by the op being assembled
-        (``in_batch``, which the op keeps extending)."""
-        covered = self.frontend.covered
-        if not self._use_array:
-            resident = self.page_table.is_resident
-            return lambda vpn: resident(vpn) or vpn in covered or vpn in in_batch
-        # Raw-array predicate: prefetchers probe it once per candidate page,
-        # so the dict/method indirections add up.  Neither array grows
-        # while an op is assembled.
+        (``in_batch``, which the op keeps extending).
+
+        Prefetchers probe it once per candidate page, so it reads the raw
+        arrays; neither grows while an op is assembled.
+        """
         pt = self.page_table
         frames = pt._frames
         p_origin = pt._origin
         nf = len(frames)
+        covered = self.frontend.covered
         slots = covered._slots
         c_origin = covered._origin
         ns = len(slots)
@@ -666,34 +559,25 @@ class MigrationScheduler:
         assembled; those are skipped like resident/in-flight pages and, when
         the demand page itself is among them, the fault simply joins the op.
         """
-        if self.frontend.covering(fault.vpn) is not None or fault.vpn in in_batch:
+        vpn = fault.vpn
+        covered = self.frontend.covered
+        idx = vpn - covered._origin
+        slots = covered._slots
+        if (0 <= idx < len(slots) and slots[idx] is not None) or vpn in in_batch:
             return None
         pages = self.prefetcher.pages_to_migrate(
-            fault.vpn, self.ledger.memory_full, skip, time=fault.time
+            vpn, self.ledger.memory_full, skip, time=fault.time
         )
-        if not pages or fault.vpn not in pages:
+        if not pages or vpn not in pages:
             raise SimulationError(
                 f"prefetcher {self.prefetcher.name} did not include the "
-                f"demand page {fault.vpn}"
+                f"demand page {vpn}"
             )
         max_batch = self.max_batch()
         if len(pages) > max_batch:
             # Prefetchers order the demand page first, so truncation keeps it.
             pages = pages[:max_batch]
         return pages
-
-    def begin_service(self, fault: FarFault, time: int) -> bool:
-        """Start one fault-service op.  Returns False if the fault resolved
-        without a new migration (page arrived while it was queued)."""
-        if self.page_table.is_resident(fault.vpn):
-            fault.sm.replay(fault.vpn, fault.is_write, time)
-            return False
-        covering = self.frontend.covering(fault.vpn)
-        if covering is not None:
-            self.frontend.merge(fault, covering)
-            return False
-        self._start_service(fault, time)
-        return True
 
     def _start_service(self, fault: FarFault, time: int) -> None:
         """Start a service op for ``fault``, whose page is neither resident
@@ -714,7 +598,8 @@ class MigrationScheduler:
 
         budget = self.uvm.fault_batch_size - 1
         max_total = self.max_batch()
-        pending = self.frontend.pending
+        frontend = self.frontend
+        pending = frontend.pending
         while budget > 0 and pending and len(batch_pages) < max_total:
             nxt = pending[0]
             if self.page_table.is_resident(nxt.vpn):
@@ -727,10 +612,11 @@ class MigrationScheduler:
                 pending.popleft()
                 if nxt.vpn in in_batch:
                     batch_faults.append(nxt)
-                    self.frontend.note_merged()
                 else:
-                    covering = self.frontend.covered[nxt.vpn]
-                    self.frontend.merge(nxt, covering)
+                    covering = frontend.covered.get(nxt.vpn)
+                    assert covering is not None
+                    covering.faults.append(nxt)
+                frontend.note_merged()
                 continue
             if len(batch_pages) + len(extra) > max_total:
                 break
@@ -751,16 +637,12 @@ class MigrationScheduler:
             token=self._next_migration_token,
         )
         self._next_migration_token += 1
-        if self._use_array:
-            # The batch as a page mask anchored at its lowest page.
-            lo = min(batch_pages)
-            mask = 0
-            for vpn in batch_pages:
-                mask |= 1 << (vpn - lo)
-            self.frontend.covered.assign(lo, mask, mig)
-        else:
-            for vpn in batch_pages:
-                self.frontend.cover(vpn, mig)
+        # The batch as a page mask anchored at its lowest page.
+        lo = min(batch_pages)
+        mask = 0
+        for vpn in batch_pages:
+            mask |= 1 << (vpn - lo)
+        frontend.covered.assign(lo, mask, mig)
         self.in_flight[mig.token] = mig
         self._active_services += 1
 
@@ -781,66 +663,14 @@ class MigrationScheduler:
     # ----------------------------------------------------- migration finish
 
     def complete_migration(self, mig: InFlightMigration, time: int) -> None:
-        if self._use_array:
-            self._install_pages_array(mig, time)
-        else:
-            ppc = self.uvm.pages_per_chunk
-            demand_vpns = {f.vpn for f in mig.faults}
-            # Group pages by chunk (pattern prefetch stays within one chunk,
-            # but the tree prefetcher can cross chunks).
-            by_chunk: Dict[int, List[int]] = {}
-            for vpn in sorted(mig.pages):
-                by_chunk.setdefault(vpn // ppc, []).append(vpn)
+        """Install a finished migration's pages, then wake its faults.
 
-            for chunk_id, vpns in by_chunk.items():
-                entry = self.chain.get(chunk_id)
-                is_new = entry is None
-                if entry is None:
-                    entry = self.chain.new_entry(
-                        chunk_id, self.clock.current_interval
-                    )
-                for vpn in vpns:
-                    frame = self.device.allocate()
-                    self.page_table.map(vpn, frame)
-                    idx = vpn % ppc
-                    entry.mark_resident(idx)
-                    if vpn in demand_vpns:
-                        self.stats.demand_pages += 1
-                    else:
-                        entry.prefetch_mask |= 1 << idx
-                        self.stats.prefetched_pages += 1
-                    self.frontend.uncover(vpn)
-                # HPE-style counter pollution: migration bumps the counter by
-                # the number of pages migrated (Inefficiency 1 of the paper).
-                entry.counter = min(16, entry.counter + len(vpns))
-                if is_new:
-                    self.policy.insert_chunk(entry, time)
-
-        migrated = len(mig.pages)
-        self.ledger.reserved -= migrated
-        self.stats.pages_migrated += migrated
-        if self._trace.enabled:
-            # Chrome duration slice: anchored at the start, dur in cycles
-            # (the exporter converts both to microseconds).
-            self._trace.emit(
-                "migration", mig.start_time, dur=time - mig.start_time,
-                demand=len(mig.faults), **mig.trace_args(),
-            )
-        self.clock.advance(migrated, time)
-
-        del self.in_flight[mig.token]
-        self._active_services -= 1
-        for fault in mig.faults:
-            fault.sm.replay(fault.vpn, fault.is_write, time)
-        self.stats.chain_length_peak = self.chain.length_peak
-        self.pump(time)
-
-    def _install_pages_array(self, mig: InFlightMigration, time: int) -> None:
-        """Array-backend page install over the batch's page mask: grow the
-        flat arrays once for the batch extremes, then, chunk by chunk,
-        write frames and clear accessed/dirty bits one contiguous run of
-        pages at a time with slices.  Frames leave the free list in the
-        object path's ascending-vpn order."""
+        The install works over the batch's page mask: the flat arrays grow
+        once for the batch extremes, then, chunk by chunk, frames are
+        written and accessed/dirty bits cleared one contiguous run of pages
+        at a time with slices.  Frames leave the free list in ascending-vpn
+        order, one ``free.pop()`` per page.
+        """
         ppc = self.uvm.pages_per_chunk
         pages = mig.pages
         lo = min(pages)
@@ -862,8 +692,8 @@ class MigrationScheduler:
         inch = chain._inch
         device = self.device
         free = device._free
-        n = len(pages)
-        if len(free) < n:
+        migrated = len(pages)
+        if len(free) < migrated:
             raise CapacityError("device memory exhausted")
         # Page masks anchored at the first chunk's first page: bit b is page
         # ``base + b``.  Every fault of the op is for one of its pages.
@@ -917,18 +747,35 @@ class MigrationScheduler:
             res_l[li] |= cmask
             pfm_l[li] |= cmask & ~dmask
             demand += bin(dmask).count("1")
+            # HPE-style counter pollution: migration bumps the counter by
+            # the number of pages migrated (Inefficiency 1 of the paper).
             ctr_l[li] = min(16, ctr_l[li] + bin(cmask).count("1"))
             if is_new:
                 self.policy.insert_chunk(chain._handle(li), time)
         self.frontend.covered.discard(base, mask)
-        device._allocated += n
+        device._allocated += migrated
         if device._allocated > device.peak_allocated:
             device.peak_allocated = device._allocated
-        pt._resident += n
-        if pt._resident > pt.resident_peak:
-            pt.resident_peak = pt._resident
         self.stats.demand_pages += demand
-        self.stats.prefetched_pages += n - demand
+        self.stats.prefetched_pages += migrated - demand
+
+        self.ledger.reserved -= migrated
+        self.stats.pages_migrated += migrated
+        if self._trace.enabled:
+            # Chrome duration slice: anchored at the start, dur in cycles
+            # (the exporter converts both to microseconds).
+            self._trace.emit(
+                "migration", mig.start_time, dur=time - mig.start_time,
+                demand=len(mig.faults), **mig.trace_args(),
+            )
+        self.clock.advance(migrated, time)
+
+        del self.in_flight[mig.token]
+        self._active_services -= 1
+        for fault in mig.faults:
+            fault.sm.replay(fault.vpn, fault.is_write, time)
+        self.stats.chain_length_peak = self.chain.length_peak
+        self.pump(time)
 
 
 class MemorySystem:
@@ -937,6 +784,9 @@ class MemorySystem:
     Owns the shared mechanism structures (device memory, page table, chunk
     chain, PCIe link, RNG) and wires the four stages together; SMs and the
     :class:`~repro.engine.simulator.Simulator` talk only to this surface.
+    ``page_table`` must be the one the translation hierarchy walks (the
+    simulator builds it with ``build_page_table``); without a translation
+    path it defaults to a fresh table.
     """
 
     def __init__(
@@ -950,6 +800,7 @@ class MemorySystem:
         translation: Optional[TranslationHierarchy] = None,
         footprint_pages: Optional[int] = None,
         obs: Optional[Observability] = None,
+        page_table: Optional[PageTable] = None,
     ):
         self.config = config
         self.uvm = config.uvm
@@ -961,14 +812,10 @@ class MemorySystem:
         self.obs = obs or DISABLED
 
         self.device = DeviceMemory(capacity_frames)
-        self._use_array = config.backend == "array"
-        if translation is not None:
-            self._page_table = translation.page_table
-        elif self._use_array:
-            self._page_table = ArrayPageTable(config.translation.walker.levels)
-        else:
-            self._page_table = PageTable(config.translation.walker.levels)
-        self.chain = ArrayChunkChain() if self._use_array else ChunkChain()
+        if page_table is None:
+            page_table = PageTable(config.translation.walker.levels)
+        self.page_table = page_table
+        self.chain = ChunkChain()
         self._policy_kind = policy_touch_kind(policy)
         self.pcie = PCIeLink(
             self.uvm.interconnect_gbps, self.uvm.clock_hz, self.uvm.page_size,
@@ -982,20 +829,14 @@ class MemorySystem:
         self.clock = IntervalClock(
             self.uvm, stats, policy, self.pcie, self.obs
         )
-        self.frontend = FaultFrontend(
-            self.uvm, stats, policy, self.clock, self.obs
-        )
-        if self._use_array:
-            # Swap the coverage dict for the origin-offset slot list; the
-            # frontend/scheduler code only uses the shared dict surface.
-            self.frontend.covered = ArrayCoverage()
+        self.frontend = FaultFrontend(stats, self.obs)
         self.evictor = EvictionService(
-            self.uvm, self.device, self._page_table, self.chain, self.pcie,
+            self.uvm, self.device, page_table, self.chain, self.pcie,
             self.ledger, policy, prefetcher, translation, stats, self.clock,
             self.obs, footprint_pages,
         )
         self.scheduler = MigrationScheduler(
-            self.uvm, self.device, self._page_table, self.chain, self.pcie,
+            self.uvm, self.device, page_table, self.chain, self.pcie,
             events, stats, self.ledger, self.frontend, self.evictor,
             self.clock, policy, prefetcher, self.obs,
         )
@@ -1013,38 +854,8 @@ class MemorySystem:
         prefetcher.attach(
             PrefetchContext(config=config, stats=stats, obs=self.obs)
         )
-        self._refresh_backend_flags()
 
     # ------------------------------------------------------------------ API
-
-    def _refresh_backend_flags(self) -> None:
-        """Recompute the fast-path eligibility after (re)binding structures.
-
-        The fused array paths need *both* the chain and the page table to be
-        array-backed; an externally installed plain :class:`PageTable`
-        (possible through the ``page_table`` setter) falls back to the
-        generic stage code, which works on either backend through the
-        shared method surface.
-        """
-        fast = isinstance(self.chain, ArrayChunkChain) and isinstance(
-            self._page_table, ArrayPageTable
-        )
-        self._fast = fast
-        self.evictor._use_array = fast
-        self.scheduler._use_array = fast
-
-    @property
-    def page_table(self) -> PageTable:
-        return self._page_table
-
-    @page_table.setter
-    def page_table(self, page_table: PageTable) -> None:
-        """Rebind the page table on every stage (single source of truth —
-        the Simulator installs its own table when translation is off)."""
-        self._page_table = page_table
-        self.evictor.page_table = page_table
-        self.scheduler.page_table = page_table
-        self._refresh_backend_flags()
 
     @property
     def current_interval(self) -> int:
@@ -1056,64 +867,57 @@ class MemorySystem:
         return self.ledger.memory_full
 
     def is_resident(self, vpn: int) -> bool:
-        return self._page_table.is_resident(vpn)
+        return self.page_table.is_resident(vpn)
 
     def touch_page(self, sm_id: int, vpn: int, is_write: bool, time: int) -> None:
-        """Record a successful access to a resident page."""
-        if self._fast:
-            pt = self._page_table
-            idx = vpn - pt._origin
-            frames = pt._frames
-            if not (0 <= idx < len(frames)) or frames[idx] < 0:
-                raise SimulationError(f"access to non-resident vpn {vpn}")
-            pt._accessed[idx] = 1
-            if is_write:
-                pt._dirty[idx] = 1
-            chain = self.chain
-            cid = vpn // self.uvm.pages_per_chunk
-            li = cid - chain._origin
-            if not (0 <= li < len(chain._inch)) or not chain._inch[li]:
-                raise SimulationError(f"resident vpn {vpn} has no chunk entry")
-            chain._tch[li] |= 1 << (vpn - cid * self.uvm.pages_per_chunk)
-            kind = self._policy_kind
-            if kind is None:
-                self.policy.on_page_touched(chain._handle(li), vpn, time)
-            elif kind == "lru":
-                if chain._last != cid:
-                    chain.move_to_tail(cid)
-                chain._lref[li] = self.clock._interval_index
-            elif kind == "mhpe":
-                interval = self.clock._interval_index
-                if chain._lref[li] < interval:
-                    chain._lref[li] = interval
-                    if chain._last != cid:
-                        chain.move_to_tail(cid)
-            elif kind == "hpe":
-                counter = chain._ctr[li]
-                if counter < 16:
-                    chain._ctr[li] = counter + 1
-                if chain._last != cid:
-                    chain.move_to_tail(cid)
-                chain._lref[li] = self.clock._interval_index
-            else:  # "ref": recency-blind, interval bookkeeping only
-                chain._lref[li] = self.clock._interval_index
-            return
-        self._page_table.record_access(vpn, is_write)
-        ppc = self.uvm.pages_per_chunk
-        entry = self.chain.get(vpn // ppc)
-        if entry is None:
+        """Record a successful access to a resident page: the page-table
+        access bits, the chunk's touched bit, and the policy's recency
+        update (replayed inline for the kinds :func:`policy_touch_kind`
+        names, through ``on_page_touched`` otherwise)."""
+        pt = self.page_table
+        idx = vpn - pt._origin
+        frames = pt._frames
+        if not (0 <= idx < len(frames)) or frames[idx] < 0:
+            raise SimulationError(f"access to non-resident vpn {vpn}")
+        pt._accessed[idx] = 1
+        if is_write:
+            pt._dirty[idx] = 1
+        chain = self.chain
+        cid = vpn // self.uvm.pages_per_chunk
+        li = cid - chain._origin
+        if not (0 <= li < len(chain._inch)) or not chain._inch[li]:
             raise SimulationError(f"resident vpn {vpn} has no chunk entry")
-        entry.mark_touched(vpn % ppc)
-        self.policy.on_page_touched(entry, vpn, time)
+        chain._tch[li] |= 1 << (vpn - cid * self.uvm.pages_per_chunk)
+        kind = self._policy_kind
+        if kind is None:
+            self.policy.on_page_touched(chain._handle(li), vpn, time)
+        elif kind == "lru":
+            if chain._last != cid:
+                chain.move_to_tail(cid)
+            chain._lref[li] = self.clock._interval_index
+        elif kind == "mhpe":
+            interval = self.clock._interval_index
+            if chain._lref[li] < interval:
+                chain._lref[li] = interval
+                if chain._last != cid:
+                    chain.move_to_tail(cid)
+        elif kind == "hpe":
+            counter = chain._ctr[li]
+            if counter < 16:
+                chain._ctr[li] = counter + 1
+            if chain._last != cid:
+                chain.move_to_tail(cid)
+            chain._lref[li] = self.clock._interval_index
+        else:  # "ref": recency-blind, interval bookkeeping only
+            chain._lref[li] = self.clock._interval_index
 
     def handle_fault(self, fault: FarFault) -> None:
-        """Entry point for an SM's far fault."""
-        if not self._fast:
-            if self.frontend.intake(fault):
-                self.scheduler.pump(fault.time)
-            return
-        # Array fast path: FaultFrontend.intake flattened (byte-identical
-        # bookkeeping; per-fault method calls add up at this rate).
+        """Entry point for an SM's far fault: the frontend's intake.
+
+        Counts the fault, lets HPE/MHPE (and unknown policies) see it, then
+        merges it into the in-flight migration covering its page or queues
+        it for the scheduler.
+        """
         frontend = self.frontend
         stats = self.stats
         stats.far_faults += 1
@@ -1122,8 +926,7 @@ class MemorySystem:
         kind = self._policy_kind
         vpn = fault.vpn
         if kind != "lru" and kind != "ref":
-            # Only HPE/MHPE (and unknown policies) implement on_fault; the
-            # base-class hook is a no-op for the exact-matched LRU kinds.
+            # The base-class hook is a no-op for the exact-matched LRU kinds.
             self.policy.on_fault(vpn, vpn // self.uvm.pages_per_chunk, fault.time)
         if frontend._trace.enabled:
             frontend._trace.emit(
@@ -1135,6 +938,7 @@ class MemorySystem:
         idx = vpn - covered._origin
         mig = slots[idx] if 0 <= idx < len(slots) else None
         if mig is not None:
+            # The page is already on its way: merge.
             mig.faults.append(fault)
             stats.merged_faults += 1
             frontend._m_merged.value += 1

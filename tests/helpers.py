@@ -51,9 +51,14 @@ def attach_prefetcher(prefetcher: Prefetcher, config: SimConfig = None) -> SimSt
     return stats
 
 
-def full_entry(chunk_id: int, interval: int = 0, touched: int = 0xFFFF) -> ChunkEntry:
-    """A fully resident chunk entry with the given touched mask."""
-    entry = ChunkEntry(chunk_id, interval)
+def full_entry(chunk_id: int, interval: int = 0, touched: int = 0xFFFF,
+               chain: ChunkChain = None) -> ChunkEntry:
+    """A fully resident chunk entry with the given touched mask: a detached
+    record (an eviction snapshot), or ``chain``'s own insertable entry."""
+    if chain is None:
+        entry = ChunkEntry(chunk_id, interval)
+    else:
+        entry = chain.new_entry(chunk_id, interval)
     entry.resident_mask = 0xFFFF
     entry.touched_mask = touched
     return entry
@@ -61,10 +66,11 @@ def full_entry(chunk_id: int, interval: int = 0, touched: int = 0xFFFF) -> Chunk
 
 def populate(policy: EvictionPolicy, chunk_ids: List[int], interval: int = 0,
              touched: int = 0xFFFF) -> List[ChunkEntry]:
-    """Insert fully resident chunks via the policy's own insert hook."""
+    """Insert fully resident chunks via the policy's own insert hook;
+    returns the chain's live entries."""
     entries = []
     for cid in chunk_ids:
-        entry = full_entry(cid, interval, touched)
+        entry = full_entry(cid, interval, touched, chain=policy.ctx.chain)
         policy.insert_chunk(entry, time=0)
         entries.append(entry)
     return entries
@@ -72,3 +78,28 @@ def populate(policy: EvictionPolicy, chunk_ids: List[int], interval: int = 0,
 
 def never_skip(vpn: int) -> bool:
     return False
+
+
+def chain_entry(chain: ChunkChain, chunk_id: int):
+    """The chain's entry for ``chunk_id``, or None when it is not in it."""
+    return next((e for e in chain.from_head() if e.chunk_id == chunk_id), None)
+
+
+def install(page_table, vpn: int, frame: int) -> None:
+    """Map ``vpn`` to ``frame`` the way migration completion does."""
+    page_table._frames[page_table._ensure(vpn)] = frame
+
+
+def popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+class Replayer:
+    """Stands in for an SM as a fault's replayer: records each replayed
+    access as ``(vpn, time)`` in ``replays`` (pass a list to share one)."""
+
+    def __init__(self, replays: List = None):
+        self.replays = [] if replays is None else replays
+
+    def replay(self, vpn: int, is_write: bool, time: int) -> None:
+        self.replays.append((vpn, time))

@@ -1,12 +1,10 @@
-"""Property tests: the array structures are their object-graph oracles.
+"""Property tests for the flat-array structures against in-test models.
 
-Hypothesis drives random operation sequences against an
-(:class:`ArrayPageTable`, :class:`PageTable`) pair and an
-(:class:`ArrayChunkChain`, :class:`ChunkChain`) pair, asserting the
-observable state agrees after every step.  This is the unit-level
-counterpart of ``tests/test_backend_differential.py``: the differential
-suite proves whole simulations byte-identical, these properties localise
-any divergence to a single structure operation.
+Hypothesis drives random operation sequences against the page table, the
+chunk chain and the coverage map, and checks every observable against a
+small reference model kept in the test: a ``vpn -> [frame, accessed,
+dirty]`` dict for the page table, a recency-ordered list plus a per-chunk
+field dict for the chain, and a plain dict for the coverage map.
 
 VPN/chunk-id strategies straddle the workload base (``0x80000``) and zero
 on purpose: low-side growth (``arr[:0] = ...``) is the delicate direction
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 from conftest import make_simple_workload
 from hypothesis import given, settings
@@ -26,14 +23,9 @@ from hypothesis import strategies as st
 from repro.config import SimConfig
 from repro.engine.simulator import Simulator
 from repro.engine.stats import SimStats
-from repro.memsim.array_backend import (
-    _PAD_CHUNKS,
-    ArrayChunkChain,
-    ArrayCoverage,
-    ArrayPageTable,
-    unpack_masks,
-)
-from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
+from repro.errors import SimulationError
+from repro.memsim.array_backend import ArrayCoverage
+from repro.memsim.chunk_chain import _PAD_CHUNKS, ChunkChain
 from repro.memsim.page_table import PageTable
 from repro.policies.base import PolicyContext
 from repro.policies.hpe import HPEPolicy
@@ -61,49 +53,59 @@ PT_OPS = st.lists(
 )
 
 
-def _pt_observables(pt, vpns):
-    return (
-        len(pt),
-        pt.resident_peak,
-        pt.resident_vpns(),
-        [(pt.is_resident(v), pt.frame_of(v), pt.accessed(v), pt.dirty(v))
-         for v in vpns],
-    )
+def _pt_view(pt, vpn):
+    """``(frame, accessed, dirty)`` of ``vpn`` as the stages read it."""
+    idx = vpn - pt._origin
+    if not 0 <= idx < len(pt._frames) or pt._frames[idx] < 0:
+        return None
+    return [pt._frames[idx], bool(pt._accessed[idx]), bool(pt._dirty[idx])]
 
 
-class TestArrayPageTable:
+class TestPageTable:
     @settings(max_examples=60, deadline=None)
     @given(ops=PT_OPS)
     def test_matches_dict_page_table(self, ops):
-        arr = ArrayPageTable(4, origin_hint=0x80000, size_hint=64)
-        obj = PageTable(4)
+        # The stages install, access and evict by writing the arrays at
+        # ``_ensure``'s index; growth at either end must keep every entry
+        # at its vpn and keep the array objects (hot loops hoist them).
+        pt = PageTable(4, origin_hint=0x80000, size_hint=64)
+        arrays = (pt._frames, pt._accessed, pt._dirty)
+        model = {}
         next_frame = 0
         touched = sorted({vpn for _, vpn in ops})
         for op, vpn in ops:
-            if op == "map" and not obj.is_resident(vpn):
-                arr.map(vpn, next_frame)
-                obj.map(vpn, next_frame)
+            if op == "map" and vpn not in model:
+                idx = pt._ensure(vpn)
+                assert pt._frames[idx] < 0
+                pt._frames[idx] = next_frame
+                pt._accessed[idx] = pt._dirty[idx] = 0
+                model[vpn] = [next_frame, False, False]
                 next_frame += 1
-            elif op == "unmap" and obj.is_resident(vpn):
-                assert arr.unmap(vpn) == obj.unmap(vpn)
-            elif op in ("read", "write") and obj.is_resident(vpn):
-                arr.record_access(vpn, is_write=op == "write")
-                obj.record_access(vpn, is_write=op == "write")
+            elif op == "unmap" and vpn in model:
+                assert _pt_view(pt, vpn) == model.pop(vpn)
+                pt._frames[pt._ensure(vpn)] = -1
+            elif op in ("read", "write") and vpn in model:
+                idx = pt._ensure(vpn)
+                pt._accessed[idx] = 1
+                model[vpn][1] = True
+                if op == "write":
+                    pt._dirty[idx] = 1
+                    model[vpn][2] = True
             elif op == "probe":
-                assert (vpn in arr) == (vpn in obj)
-            assert _pt_observables(arr, touched) == _pt_observables(obj, touched)
-        # The walk structure is inherited arithmetic — same node keys.
-        for vpn in touched[:5]:
-            assert arr.node_keys(vpn) == obj.node_keys(vpn)
+                assert pt.is_resident(vpn) == (vpn in model)
+            for v in touched:
+                assert pt.is_resident(v) == (v in model)
+                assert _pt_view(pt, v) == model.get(v)
+        assert all(
+            now is before
+            for now, before in zip((pt._frames, pt._accessed, pt._dirty), arrays)
+        )
 
-    def test_unmap_of_vpn_below_origin_raises(self):
-        import pytest
-
-        from repro.errors import SimulationError
-
-        arr = ArrayPageTable(4, origin_hint=0x80000, size_hint=16)
-        with pytest.raises(SimulationError):
-            arr.unmap(0x7FF00)  # negative local index must not wrap
+    def test_vpn_below_origin_is_not_resident(self):
+        pt = PageTable(4, origin_hint=0x80000, size_hint=16)
+        pt._frames[-1] = 7  # the last slot: a wrapped index would hit it
+        assert not pt.is_resident(0x80000 - 1)
+        assert pt.is_resident(0x80000 + len(pt._frames) - 1)
 
 
 CHAIN_OPS = st.lists(
@@ -118,97 +120,123 @@ CHAIN_OPS = st.lists(
     max_size=80,
 )
 
+#: Ops that edit one field of an in-chain chunk through its handle.
+FIELD_OPS = ("touch", "resident", "clear_resident", "counter", "ref")
 
-def _chain_observables(chain, ids, interval):
-    entries = []
-    for cid in ids:
-        entry = chain.get(cid)
-        if entry is None:
-            entries.append(None)
-        else:
-            entries.append(
-                (
-                    entry.chunk_id,
-                    entry.resident_mask,
-                    entry.touched_mask,
-                    entry.prefetch_mask,
-                    entry.counter,
-                    entry.last_ref_interval,
-                    entry.insert_interval,
-                    entry.insert_order,
-                    entry.in_chain,
-                    entry.untouch_level(),
-                    entry.partition(interval),
-                )
-            )
+#: Per-chunk fields the chain keeps, in the model's field-dict order.
+FIELDS = (
+    "resident_mask", "touched_mask", "prefetch_mask", "counter",
+    "last_ref_interval", "insert_interval",
+)
+
+
+def _model_candidates(order, fields, interval, from_tail):
+    """Old, then middle, then new partition; recency order within each."""
+    walk = list(reversed(order)) if from_tail else list(order)
+
+    def rank(cid):
+        ref = fields[cid]["last_ref_interval"]
+        return 2 if ref >= interval else 1 if ref == interval - 1 else 0
+
+    return sorted(walk, key=rank)  # stable: keeps the walk order per rank
+
+
+def _chain_observables(chain, interval):
     return (
         len(chain),
-        chain.length_peak,
         [e.chunk_id for e in chain.from_head()],
         [e.chunk_id for e in chain.from_tail()],
         [e.chunk_id for e in chain.candidates_from_tail(interval)],
         [e.chunk_id for e in chain.candidates_from_head(interval)],
-        entries,
+        {
+            e.chunk_id: {name: getattr(e, name) for name in FIELDS}
+            for e in chain.from_head()
+        },
+        {e.chunk_id: e.untouch_level() for e in chain.from_head()},
     )
 
 
-class TestArrayChunkChain:
+def _model_observables(order, fields, interval):
+    return (
+        len(order),
+        list(order),
+        list(reversed(order)),
+        _model_candidates(order, fields, interval, from_tail=True),
+        _model_candidates(order, fields, interval, from_tail=False),
+        {cid: dict(fields[cid]) for cid in order},
+        {
+            cid: bin(f["resident_mask"] & ~f["touched_mask"]).count("1")
+            for cid, f in ((c, fields[c]) for c in order)
+        },
+    )
+
+
+class TestChunkChain:
     @settings(max_examples=60, deadline=None)
     @given(ops=CHAIN_OPS, interval=st.integers(min_value=0, max_value=4))
-    def test_matches_linked_chain(self, ops, interval):
-        arr = ArrayChunkChain()
-        obj = ChunkChain()
-        ids = sorted({cid for _, cid, _ in ops})
+    def test_matches_recency_list_model(self, ops, interval):
+        chain = ChunkChain()
+        order = []  # chunk ids, LRU-most first
+        fields = {}  # chunk id -> field dict
+        handles = {}
+        peak = 0
         for op, cid, page in ops:
-            in_chain = cid in obj
-            if op in ("insert_tail", "insert_head") and not in_chain:
-                ea = arr.new_entry(cid, interval)
-                eo = obj.new_entry(cid, interval)
-                getattr(arr, op)(ea)
-                getattr(obj, op)(eo)
-            elif op == "remove" and in_chain:
-                removed_a = arr.remove(cid)
-                removed_o = obj.remove(cid)
-                assert removed_a.chunk_id == removed_o.chunk_id
-                assert removed_a.touched_mask == removed_o.touched_mask
-            elif op == "move_to_tail" and in_chain:
-                arr.move_to_tail(cid)
-                obj.move_to_tail(cid)
-            elif op == "ref" and in_chain:
-                # Spread last-reference intervals over the old / middle /
-                # new partitions the candidate orders are built from.
-                arr.get(cid).last_ref_interval = page % 6
-                obj.get(cid).last_ref_interval = page % 6
-            elif op in ("touch", "resident", "clear_resident", "counter") and in_chain:
-                ea, eo = arr.get(cid), obj.get(cid)
-                if op == "touch":
-                    ea.mark_touched(page)
-                    eo.mark_touched(page)
-                elif op == "resident":
-                    ea.mark_resident(page)
-                    eo.mark_resident(page)
-                elif op == "clear_resident":
-                    ea.clear_resident(page)
-                    eo.clear_resident(page)
+            if op in ("insert_tail", "insert_head") and cid not in order:
+                entry = chain.new_entry(cid, interval)
+                entry.resident_mask = 1 << page
+                entry.counter = page
+                getattr(chain, op)(entry)
+                fields[cid] = {name: 0 for name in FIELDS}
+                fields[cid].update(
+                    resident_mask=1 << page, counter=page,
+                    last_ref_interval=interval, insert_interval=interval,
+                )
+                if op == "insert_tail":
+                    order.append(cid)
                 else:
-                    ea.counter += 1
-                    eo.counter += 1
-            assert _chain_observables(arr, ids, interval) == _chain_observables(
-                obj, ids, interval
+                    order.insert(0, cid)
+                peak = max(peak, len(order))
+            elif op == "remove" and cid in order:
+                removed = chain.remove(cid)
+                assert removed.chunk_id == cid
+                assert {n: getattr(removed, n) for n in FIELDS} == fields.pop(cid)
+                order.remove(cid)
+            elif op == "move_to_tail" and cid in order:
+                chain.move_to_tail(cid)
+                order.remove(cid)
+                order.append(cid)
+            elif op in FIELD_OPS and cid in order:
+                entry = next(e for e in chain.from_head() if e.chunk_id == cid)
+                handles[cid] = entry
+                f = fields[cid]
+                if op == "touch":
+                    entry.touched_mask |= 1 << page
+                    f["touched_mask"] |= 1 << page
+                elif op == "resident":
+                    entry.resident_mask |= 1 << page
+                    f["resident_mask"] |= 1 << page
+                elif op == "clear_resident":
+                    entry.resident_mask &= ~(1 << page)
+                    f["resident_mask"] &= ~(1 << page)
+                elif op == "counter":
+                    entry.counter += 1
+                    f["counter"] += 1
+                else:
+                    # Spread last-reference intervals over the old / middle /
+                    # new partitions the candidate orders are built from.
+                    entry.last_ref_interval = page % 6
+                    f["last_ref_interval"] = page % 6
+            elif op in ("remove", "move_to_tail") and cid not in order:
+                with pytest.raises(SimulationError):
+                    getattr(chain, op)(cid)
+            assert _chain_observables(chain, interval) == _model_observables(
+                order, fields, interval
             )
-
-    def test_mask_matrix_mirrors_masks(self):
-        chain = ArrayChunkChain()
-        for cid, res, tch in [(3, 0b1011, 0b0010), (7, 0b1111, 0b1111)]:
-            entry = chain.new_entry(cid, 0)
-            entry.resident_mask = res
-            entry.touched_mask = tch
-            chain.insert_tail(entry)
-        matrix = chain.mask_matrix(pages_per_chunk=4)
-        assert matrix.shape == (2, 3, 4)
-        assert matrix[0, 0].tolist() == [1, 1, 0, 1]  # chunk 3 resident bits
-        assert matrix[0, 1].tolist() == [0, 1, 0, 0]  # chunk 3 touched bits
-        assert matrix[1, 0].tolist() == [1, 1, 1, 1]
+            assert chain.length_peak == peak
+        # A handle stays the one object for its chunk (identity-stable).
+        for cid, handle in handles.items():
+            if cid in order:
+                assert any(e is handle for e in chain.from_head())
 
 
 class TestArrayChainFootprint:
@@ -218,12 +246,9 @@ class TestArrayChainFootprint:
         # than at chunk 0, which would allocate every slot below the base.
         workload = make_simple_workload(footprint=1024)
         assert workload.base_vpn == 0x80000
-        sim = Simulator(
-            workload, oversubscription=0.5, config=SimConfig(backend="array")
-        )
+        sim = Simulator(workload, oversubscription=0.5)
         sim.run()
         chain = sim.gmmu.chain
-        assert isinstance(chain, ArrayChunkChain)
         footprint_chunks = workload.footprint_pages // 16
         assert chain.length_peak > 0
         slots = len(chain._inch)
@@ -290,9 +315,8 @@ class TestLazyVictimScan:
 
     RESIDENTS = [16, 0, 4, 16, 8, 16, 2, 16, 16, 16, 16, 16]
 
-    @pytest.mark.parametrize("chain_cls", [ArrayChunkChain, ChunkChain])
-    def test_lru_early_stop_visits_a_prefix(self, chain_cls):
-        chain = _filled(chain_cls(), self.RESIDENTS)
+    def test_lru_early_stop_visits_a_prefix(self):
+        chain = _filled(ChunkChain(), self.RESIDENTS)
         visited = []
         real_from_head = chain.from_head
 
@@ -310,7 +334,7 @@ class TestLazyVictimScan:
 
     @pytest.mark.parametrize("policy_cls", [MHPEPolicy, HPEPolicy])
     def test_head_order_early_stop_visits_a_prefix(self, policy_cls):
-        chain = _filled(ArrayChunkChain(), self.RESIDENTS)
+        chain = _filled(ChunkChain(), self.RESIDENTS)
         visited = []
         chain._lref = _ReadLog(chain._lref, visited)
         # Every chunk was last referenced in interval 0: all are old at 5.
@@ -323,39 +347,15 @@ class TestLazyVictimScan:
         assert [v.chunk_id for v in victims] == [0x8000, 0x8002]
         assert [li + chain._origin for li in visited] == [0x8000, 0x8001, 0x8002]
 
-    @pytest.mark.parametrize("chain_cls", [ArrayChunkChain, ChunkChain])
     @pytest.mark.parametrize("frames_needed", [1, 17, 60, 120, 142])
-    def test_reserved_lru_matches_eager_scan(self, chain_cls, frames_needed):
-        chain = _filled(chain_cls(), self.RESIDENTS)
+    def test_reserved_lru_matches_eager_scan(self, frames_needed):
+        chain = _filled(ChunkChain(), self.RESIDENTS)
         policy = _policy_on(chain, ReservedLRUPolicy(0.25))
         got = [v.chunk_id for v in policy.select_victims(frames_needed, 0)]
         assert got == _eager_reserved_lru(chain, 0.25, frames_needed)
 
 
 class TestArrayCoverage:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        ops=st.lists(
-            st.tuples(st.sampled_from(["set", "pop", "get"]), VPNS),
-            max_size=60,
-        )
-    )
-    def test_matches_dict(self, ops):
-        arr = ArrayCoverage()
-        obj = {}
-        for op, vpn in ops:
-            token = object()  # stands in for an InFlightMigration
-            if op == "set":
-                arr[vpn] = token
-                obj[vpn] = token
-            elif op == "pop":
-                assert arr.pop(vpn, None) is obj.pop(vpn, None)
-            else:
-                assert arr.get(vpn) is obj.get(vpn)
-            assert len(arr) == len(obj)
-            assert (vpn in arr) == (vpn in obj)
-
-
     @settings(max_examples=60, deadline=None)
     @given(
         ops=st.lists(
@@ -387,30 +387,6 @@ class TestArrayCoverage:
                 assigned.append((base, mask))
                 for vpn in pages(base, mask):
                     obj[vpn] = token
-            assert len(arr) == len(obj)
             for base_, mask_ in assigned:
                 for vpn in pages(base_, mask_):
                     assert arr.get(vpn) is obj.get(vpn)
-
-
-class TestUnpackMasks:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        masks=st.lists(st.integers(min_value=0, max_value=2**16 - 1), max_size=8),
-        pages=st.integers(min_value=1, max_value=16),
-    )
-    def test_bits_roundtrip(self, masks, pages):
-        matrix = unpack_masks(masks, pages)
-        assert matrix.shape == (len(masks), pages)
-        assert matrix.dtype == np.uint8
-        for row, mask in zip(matrix, masks):
-            for bit in range(pages):
-                assert row[bit] == (mask >> bit) & 1
-
-    def test_popcount_matches_untouch_level(self):
-        entry = ChunkEntry(0, 0)
-        entry.resident_mask = 0b110110
-        entry.touched_mask = 0b010010
-        matrix = unpack_masks([entry.resident_mask, entry.touched_mask], 6)
-        untouched = int((matrix[0] & ~matrix[1] & 1).sum())
-        assert untouched == entry.untouch_level()

@@ -9,7 +9,7 @@ from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
 def chain_with(ids, interval=0):
     chain = ChunkChain()
     for cid in ids:
-        chain.insert_tail(ChunkEntry(cid, interval))
+        chain.insert_tail(chain.new_entry(cid, interval))
     return chain
 
 
@@ -22,35 +22,18 @@ class TestEntryBitVectors:
 
     def test_resident_and_touched(self):
         e = ChunkEntry(1, 0)
-        for i in range(16):
-            e.mark_resident(i)
-        for i in range(0, 16, 2):
-            e.mark_touched(i)
+        e.resident_mask = 0xFFFF
+        e.touched_mask = 0x5555  # every even page
         assert e.resident_pages == 16
-        assert e.touched_pages == 8
         assert e.untouch_level() == 8
 
     def test_untouch_only_counts_resident(self):
         # A page touched in a previous residency but not migrated now must
         # not count toward untouch.
         e = ChunkEntry(1, 0)
-        e.mark_resident(0)
-        e.mark_touched(5)  # not resident
+        e.resident_mask = 1 << 0
+        e.touched_mask = 1 << 5  # not resident
         assert e.untouch_level() == 1
-
-    def test_clear_resident(self):
-        e = ChunkEntry(1, 0)
-        e.mark_resident(3)
-        e.clear_resident(3)
-        assert not e.is_resident(3)
-        assert e.resident_pages == 0
-
-    def test_partition_by_interval(self):
-        e = ChunkEntry(1, interval=5)
-        assert e.partition(5) == "new"
-        assert e.partition(6) == "middle"
-        assert e.partition(7) == "old"
-        assert e.partition(100) == "old"
 
 
 class TestChainLinking:
@@ -61,23 +44,30 @@ class TestChainLinking:
 
     def test_insert_head(self):
         chain = chain_with([1, 2])
-        chain.insert_head(ChunkEntry(99, 0))
+        chain.insert_head(chain.new_entry(99, 0))
         assert [e.chunk_id for e in chain.from_head()] == [99, 1, 2]
 
     def test_duplicate_insert_rejected(self):
         chain = chain_with([1])
         with pytest.raises(SimulationError):
-            chain.insert_tail(ChunkEntry(1, 0))
+            chain.insert_tail(chain.new_entry(1, 0))
         with pytest.raises(SimulationError):
-            chain.insert_head(ChunkEntry(1, 0))
+            chain.insert_head(chain.new_entry(1, 0))
+
+    def test_detached_record_insert_rejected(self):
+        chain = ChunkChain()
+        chain.new_entry(1, 0)
+        with pytest.raises(SimulationError, match="new_entry"):
+            chain.insert_tail(ChunkEntry(1, 0))
+        assert len(chain) == 0
 
     def test_remove(self):
         chain = chain_with([1, 2, 3])
         removed = chain.remove(2)
         assert removed.chunk_id == 2
-        assert not removed.in_chain
         assert [e.chunk_id for e in chain.from_head()] == [1, 3]
-        assert 2 not in chain
+        with pytest.raises(SimulationError):
+            chain.remove(2)
 
     def test_remove_missing_rejected(self):
         with pytest.raises(SimulationError):
@@ -91,11 +81,6 @@ class TestChainLinking:
     def test_move_missing_rejected(self):
         with pytest.raises(SimulationError):
             chain_with([1]).move_to_tail(9)
-
-    def test_get(self):
-        chain = chain_with([5])
-        assert chain.get(5).chunk_id == 5
-        assert chain.get(6) is None
 
     def test_len_and_peak(self):
         chain = chain_with([1, 2, 3])
@@ -115,13 +100,8 @@ class TestPartitionedCandidates:
         """Chunks 1-2 old, 3 middle, 4 new (current interval = 5)."""
         chain = ChunkChain()
         for cid, interval in ((1, 1), (2, 2), (3, 4), (4, 5)):
-            chain.insert_tail(ChunkEntry(cid, interval))
+            chain.insert_tail(chain.new_entry(cid, interval))
         return chain
-
-    def test_old_partition_iterators(self):
-        chain = self._mixed_chain()
-        assert [e.chunk_id for e in chain.old_partition_from_head(5)] == [1, 2]
-        assert [e.chunk_id for e in chain.old_partition_from_tail(5)] == [2, 1]
 
     def test_candidates_from_tail_priority(self):
         chain = self._mixed_chain()
@@ -139,4 +119,4 @@ class TestPartitionedCandidates:
     def test_empty_chain(self):
         chain = ChunkChain()
         assert chain.candidates_from_tail(0) == []
-        assert chain.candidates_from_head(0) == []
+        assert list(chain.candidates_from_head(0)) == []

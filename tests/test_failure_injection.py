@@ -17,6 +17,7 @@ from repro.prefetch.base import Prefetcher
 from repro.prefetch.locality import LocalityPrefetcher
 
 from conftest import make_simple_workload
+from helpers import Replayer
 
 FAST = SimConfig(sm=SMConfig(num_sms=2), translation=TranslationConfig(enabled=False))
 
@@ -55,8 +56,7 @@ def _gmmu(policy=None, prefetcher=None, capacity=32):
 class TestPrefetcherContract:
     def test_missing_demand_page_detected(self):
         gmmu, events = _gmmu(prefetcher=OmittingPrefetcher())
-        fault = FarFault(vpn=5, sm_id=0, time=0, is_write=False,
-                         on_resolve=lambda t: None)
+        fault = FarFault(5, 0, 0, False, Replayer())
         with pytest.raises(SimulationError, match="demand page"):
             gmmu.handle_fault(fault)
 
@@ -65,8 +65,7 @@ class TestPolicyContract:
     def test_policy_returning_nothing_detected(self):
         gmmu, events = _gmmu(policy=NonSelectingPolicy(), capacity=32)
         for chunk in range(3):  # third chunk needs an eviction
-            fault = FarFault(vpn=chunk * 16, sm_id=0, time=events.now,
-                             is_write=False, on_resolve=lambda t: None)
+            fault = FarFault(chunk * 16, 0, events.now, False, Replayer())
             if chunk < 2:
                 gmmu.handle_fault(fault)
                 events.run()

@@ -14,6 +14,7 @@ from repro.policies.lru import LRUPolicy
 from repro.prefetch.locality import LocalityPrefetcher
 
 from conftest import make_simple_workload
+from helpers import Replayer
 
 
 def make_gmmu(batch, capacity=1024):
@@ -28,12 +29,9 @@ def make_gmmu(batch, capacity=1024):
 
 
 def issue(gmmu, vpn, time=0):
-    resolved = []
-    gmmu.handle_fault(
-        FarFault(vpn=vpn, sm_id=0, time=time, is_write=False,
-                 on_resolve=lambda t: resolved.append(t))
-    )
-    return resolved
+    replayer = Replayer()
+    gmmu.handle_fault(FarFault(vpn, 0, time, False, replayer))
+    return replayer.replays
 
 
 class TestBatching:

@@ -12,6 +12,8 @@ from repro.policies.lru import LRUPolicy
 from repro.prefetch.disabled import DisabledPrefetcher
 from repro.prefetch.locality import LocalityPrefetcher
 
+from helpers import Replayer, chain_entry, popcount
+
 
 def make_gmmu(capacity=64, prefetcher=None, policy=None, config=None,
               footprint=None, crash_factor=None):
@@ -34,13 +36,9 @@ def make_gmmu(capacity=64, prefetcher=None, policy=None, config=None,
 
 
 def fault(gmmu, vpn, time=0, resolved=None, sm_id=0):
-    record = [] if resolved is None else resolved
-    f = FarFault(
-        vpn=vpn, sm_id=sm_id, time=time, is_write=False,
-        on_resolve=lambda t: record.append((vpn, t)),
-    )
-    gmmu.handle_fault(f)
-    return record
+    replayer = Replayer(resolved)
+    gmmu.handle_fault(FarFault(vpn, sm_id, time, False, replayer))
+    return replayer.replays
 
 
 class TestDemandMigration:
@@ -140,8 +138,8 @@ class TestEviction:
         events.run()
         for vpn in range(0, 8):
             gmmu.touch_page(0, vpn, False, events.now)
-        entry = gmmu.chain.get(0)
-        assert entry.touched_pages == 8
+        entry = chain_entry(gmmu.chain, 0)
+        assert popcount(entry.touched_mask) == 8
         assert entry.untouch_level() == 8
 
     def test_dirty_writeback_accounting(self):

@@ -5,6 +5,8 @@ from repro.engine.stats import SimStats
 from repro.memsim.page_table import PageTable
 from repro.translation.hierarchy import TranslationHierarchy
 
+from helpers import install
+
 
 def make_hierarchy(num_sms=2):
     stats = SimStats()
@@ -16,7 +18,7 @@ def make_hierarchy(num_sms=2):
 class TestTranslatePath:
     def test_resident_page_first_access_walks(self):
         h, pt, stats = make_hierarchy()
-        pt.map(100, 0)
+        install(pt, 100, 0)
         latency, resident = h.translate(0, 100, time=0)
         assert resident
         assert stats.l1_tlb_misses == 1
@@ -26,7 +28,7 @@ class TestTranslatePath:
 
     def test_second_access_hits_l1(self):
         h, pt, stats = make_hierarchy()
-        pt.map(100, 0)
+        install(pt, 100, 0)
         h.translate(0, 100, 0)
         latency, resident = h.translate(0, 100, 100)
         assert resident
@@ -35,7 +37,7 @@ class TestTranslatePath:
 
     def test_other_sm_hits_shared_l2(self):
         h, pt, stats = make_hierarchy()
-        pt.map(100, 0)
+        install(pt, 100, 0)
         h.translate(0, 100, 0)
         latency, _ = h.translate(1, 100, 100)
         # SM1's L1 misses but the shared L2 has the entry.
@@ -47,7 +49,7 @@ class TestTranslatePath:
         latency, resident = h.translate(0, 100, 0)
         assert not resident
         # Faulting walk must not fill TLBs (there is no mapping yet).
-        pt.map(100, 0)
+        install(pt, 100, 0)
         h.translate(0, 100, 1000)
         assert stats.page_walks == 2
 
@@ -57,7 +59,7 @@ class TestTranslatePath:
         h = TranslationHierarchy(
             TranslationConfig(enabled=False), 1, pt, stats
         )
-        pt.map(5, 0)
+        install(pt, 5, 0)
         assert h.translate(0, 5, 0) == (0, True)
         assert h.translate(0, 6, 0) == (0, False)
 
@@ -65,7 +67,7 @@ class TestTranslatePath:
 class TestShootdown:
     def test_shootdown_invalidates_everywhere(self):
         h, pt, stats = make_hierarchy()
-        pt.map(100, 0)
+        install(pt, 100, 0)
         h.translate(0, 100, 0)
         h.translate(1, 100, 10)
         h.shootdown(100)
@@ -84,7 +86,7 @@ class TestShootdown:
 class TestStatsSync:
     def test_sync_copies_pwc_counters(self):
         h, pt, stats = make_hierarchy()
-        pt.map(100, 0)
+        install(pt, 100, 0)
         h.translate(0, 100, 0)
         h.sync_counter_stats()
         assert stats.pwc_misses == h.pwc.misses

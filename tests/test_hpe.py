@@ -6,8 +6,8 @@ from repro.policies.hpe import HPEPolicy
 from helpers import IntervalClock, attach_policy, full_entry, populate
 
 
-def polluted_entry(chunk_id, counter):
-    entry = full_entry(chunk_id)
+def polluted_entry(policy, chunk_id, counter):
+    entry = full_entry(chunk_id, chain=policy.ctx.chain)
     entry.counter = counter
     return entry
 
@@ -17,7 +17,7 @@ class TestClassification:
         policy = HPEPolicy()
         attach_policy(policy)
         for i, c in enumerate(counters):
-            policy.insert_chunk(polluted_entry(i, c), 0)
+            policy.insert_chunk(polluted_entry(policy, i, c), 0)
         policy.on_memory_full(0)
         return policy
 
@@ -68,7 +68,7 @@ class TestMRUCSelection:
         clock = IntervalClock(0)
         attach_policy(policy, interval=clock)
         for cid, counter in ((1, 16), (2, 2), (3, 16)):
-            policy.insert_chunk(polluted_entry(cid, counter), 0)
+            policy.insert_chunk(polluted_entry(policy, cid, counter), 0)
         clock.value = 3  # everything old
         policy.on_memory_full(0)
         policy._strategy = "mru-c"

@@ -271,12 +271,12 @@ class TestWrongEvictions:
         policy, chain, _ = self._policy()
         policy.on_chunk_evicted(evicted_entry(100, 0), 0)
         policy.on_fault(1600, 100, 0)
-        policy.insert_chunk(full_entry(100), time=1)
+        policy.insert_chunk(full_entry(100, chain=chain), time=1)
         assert next(iter(chain.from_head())).chunk_id == 100
 
     def test_normal_chunk_inserted_at_tail(self):
         policy, chain, _ = self._policy()
-        policy.insert_chunk(full_entry(100), time=1)
+        policy.insert_chunk(full_entry(100, chain=chain), time=1)
         assert next(iter(chain.from_tail())).chunk_id == 100
 
     def test_buffer_evicts_oldest(self):

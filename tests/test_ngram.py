@@ -7,8 +7,9 @@ until they fault again (the CPPE coordination feedback).
 
 Integration level: the prefetcher reaches the simulator purely through the
 registry — ``run_one`` with the ``"ngram"`` setup and the ``"mhpe+ngram"``
-pair name — and produces byte-identical results on both data-structure
-backends, without any edit to baselines.py/config.py/cli.py.
+pair name — without any edit to baselines.py/config.py/cli.py, with
+deterministic results (``tests/test_golden_digests.py`` pins both setups
+on NW at 0.75).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pickle
 import pytest
 
 from helpers import attach_prefetcher, never_skip
-from repro.config import SimConfig, SMConfig
 from repro.errors import ConfigError
 from repro.harness.cache import _PICKLE_PROTOCOL
 from repro.harness.experiment import RunSpec, run_one
@@ -149,19 +149,6 @@ class TestThroughRegistry:
         result = run_one(spec, use_cache=False)
         assert result.total_cycles > 0
         assert result.policy == "mhpe"
-
-    @pytest.mark.parametrize("setup", ["ngram", "mhpe+ngram"])
-    def test_backends_byte_identical(self, setup):
-        spec = RunSpec("NW", setup, 0.75, scale=0.25)
-        config = SimConfig(sm=SMConfig(num_sms=4))
-        results = [
-            run_one(spec, config.with_(backend=backend), use_cache=False)
-            for backend in ("object", "array")
-        ]
-        blobs = [
-            pickle.dumps(r, protocol=_PICKLE_PROTOCOL) for r in results
-        ]
-        assert blobs[0] == blobs[1]
 
     def test_deterministic_across_runs(self):
         spec = RunSpec("SRD", "ngram", 0.5, scale=0.25)

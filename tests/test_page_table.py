@@ -1,90 +1,127 @@
-"""Page table residency + access/dirty bits (repro.memsim.page_table)."""
+"""Page table residency + access/dirty bits (repro.memsim.page_table).
+
+The memory-system stages write the page table's arrays in place: migration
+completion installs frames with clean bits, ``touch_page`` (and the SM's
+fused loop) sets the accessed/dirty bits, and eviction frees the frames.
+These tests drive the table through those stages.
+"""
 
 import pytest
 
+from repro.config import SimConfig
+from repro.engine.events import EventQueue
+from repro.engine.stats import SimStats
 from repro.errors import SimulationError
+from repro.memsim.fault import FarFault, InFlightMigration
+from repro.memsim.gmmu import GMMU
 from repro.memsim.page_table import PageTable
+from repro.policies.lru import LRUPolicy
+from repro.prefetch.disabled import DisabledPrefetcher
+
+from helpers import Replayer, chain_entry
+
+
+def _system(capacity=32):
+    """A memory system that migrates only the demand page."""
+    return GMMU(
+        config=SimConfig(),
+        capacity_frames=capacity,
+        events=EventQueue(),
+        stats=SimStats(),
+        policy=LRUPolicy(),
+        prefetcher=DisabledPrefetcher(),
+    )
+
+
+def _fault_in(gmmu, vpn):
+    gmmu.handle_fault(FarFault(vpn, 0, gmmu.events.now, False, Replayer()))
+    gmmu.events.run()
+
+
+def _bits(gmmu, vpn):
+    """``(frame, accessed, dirty)`` of a resident ``vpn``, else None."""
+    pt = gmmu.page_table
+    idx = vpn - pt._origin
+    if not 0 <= idx < len(pt._frames) or pt._frames[idx] < 0:
+        return None
+    return pt._frames[idx], bool(pt._accessed[idx]), bool(pt._dirty[idx])
+
+
+def _evict(gmmu, chunk_id):
+    gmmu.evictor.evict_chunk(chain_entry(gmmu.chain, chunk_id), gmmu.events.now)
 
 
 class TestResidency:
     def test_map_and_lookup(self):
-        pt = PageTable()
-        pt.map(100, 7)
-        assert pt.is_resident(100)
-        assert pt.frame_of(100) == 7
-        assert 100 in pt
-        assert len(pt) == 1
+        gmmu = _system()
+        _fault_in(gmmu, 100)
+        assert gmmu.is_resident(100)
+        assert gmmu.page_table.is_resident(100)
+        assert 0 <= _bits(gmmu, 100)[0] < 32
+        assert gmmu.device.allocated_frames == 1
 
     def test_unmapped_lookup(self):
         pt = PageTable()
         assert not pt.is_resident(5)
-        assert pt.frame_of(5) is None
+        assert not pt.is_resident(-5)  # a negative index must not wrap
+        assert not pt.is_resident(1 << 40)
 
     def test_double_map_rejected(self):
-        pt = PageTable()
-        pt.map(1, 0)
-        with pytest.raises(SimulationError):
-            pt.map(1, 1)
+        gmmu = _system()
+        _fault_in(gmmu, 3)
+        mig = InFlightMigration(chunk_id=0, pages={3}, token=99)
+        with pytest.raises(SimulationError, match="already mapped"):
+            gmmu.scheduler.complete_migration(mig, gmmu.events.now)
 
     def test_unmap_returns_frame_and_bits(self):
-        pt = PageTable()
-        pt.map(9, 3)
-        pt.record_access(9, is_write=True)
-        frame, accessed, dirty = pt.unmap(9)
-        assert (frame, accessed, dirty) == (3, True, True)
-        assert not pt.is_resident(9)
+        gmmu = _system()
+        _fault_in(gmmu, 9)
+        frame = _bits(gmmu, 9)[0]
+        gmmu.touch_page(0, 9, True, gmmu.events.now)
+        _evict(gmmu, 0)
+        assert not gmmu.is_resident(9)
+        assert gmmu.device.free_frames == 32
+        assert gmmu.device._free[-1] == frame
+        assert gmmu.stats.dirty_pages_written_back == 1
 
     def test_unmap_missing_rejected(self):
-        with pytest.raises(SimulationError):
-            PageTable().unmap(1)
-
-    def test_resident_peak(self):
-        pt = PageTable()
-        pt.map(1, 0)
-        pt.map(2, 1)
-        pt.unmap(1)
-        assert pt.resident_peak == 2
-
-    def test_resident_vpns_sorted(self):
-        pt = PageTable()
-        for vpn in (30, 10, 20):
-            pt.map(vpn, vpn)
-        assert pt.resident_vpns() == [10, 20, 30]
+        gmmu = _system()
+        _fault_in(gmmu, 0)
+        chain_entry(gmmu.chain, 0).resident_mask |= 1 << 5  # never mapped
+        with pytest.raises(SimulationError, match="not mapped"):
+            _evict(gmmu, 0)
 
 
 class TestAccessDirtyBits:
     def test_fresh_page_is_untouched_and_clean(self):
-        pt = PageTable()
-        pt.map(4, 0)
-        assert not pt.accessed(4)
-        assert not pt.dirty(4)
+        gmmu = _system()
+        _fault_in(gmmu, 4)
+        assert _bits(gmmu, 4)[1:] == (False, False)
 
     def test_read_sets_accessed_only(self):
-        pt = PageTable()
-        pt.map(4, 0)
-        pt.record_access(4, is_write=False)
-        assert pt.accessed(4)
-        assert not pt.dirty(4)
+        gmmu = _system()
+        _fault_in(gmmu, 4)
+        gmmu.touch_page(0, 4, False, gmmu.events.now)
+        assert _bits(gmmu, 4)[1:] == (True, False)
 
     def test_write_sets_both(self):
-        pt = PageTable()
-        pt.map(4, 0)
-        pt.record_access(4, is_write=True)
-        assert pt.accessed(4) and pt.dirty(4)
+        gmmu = _system()
+        _fault_in(gmmu, 4)
+        gmmu.touch_page(0, 4, True, gmmu.events.now)
+        assert _bits(gmmu, 4)[1:] == (True, True)
 
     def test_access_nonresident_rejected(self):
         with pytest.raises(SimulationError):
-            PageTable().record_access(4)
+            _system().touch_page(0, 4, False, 0)
 
     def test_remap_clears_bits(self):
         # Eviction + re-migration must not inherit old access bits.
-        pt = PageTable()
-        pt.map(4, 0)
-        pt.record_access(4, is_write=True)
-        pt.unmap(4)
-        pt.map(4, 1)
-        assert not pt.accessed(4)
-        assert not pt.dirty(4)
+        gmmu = _system()
+        _fault_in(gmmu, 4)
+        gmmu.touch_page(0, 4, True, gmmu.events.now)
+        _evict(gmmu, 0)
+        _fault_in(gmmu, 4)
+        assert _bits(gmmu, 4)[1:] == (False, False)
 
 
 class TestWalkStructure:

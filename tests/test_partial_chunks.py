@@ -17,6 +17,8 @@ from repro.memsim.gmmu import GMMU
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.pattern_aware import PatternAwarePrefetcher
 
+from helpers import Replayer, chain_entry
+
 FAST = SimConfig(sm=SMConfig(num_sms=2), translation=TranslationConfig(enabled=False))
 
 EVEN_MASK = 0x5555
@@ -38,10 +40,7 @@ def make_gmmu_with_pattern(capacity=256):
 
 
 def issue(gmmu, vpn, time=0):
-    gmmu.handle_fault(
-        FarFault(vpn=vpn, sm_id=0, time=time, is_write=False,
-                 on_resolve=lambda t: None)
-    )
+    gmmu.handle_fault(FarFault(vpn, 0, time, False, Replayer()))
 
 
 class TestPartialMigration:
@@ -49,7 +48,7 @@ class TestPartialMigration:
         gmmu, events, _ = make_gmmu_with_pattern()
         issue(gmmu, 32)  # even page: matches
         events.run()
-        entry = gmmu.chain.get(2)
+        entry = chain_entry(gmmu.chain, 2)
         assert entry.resident_pages == 8
         for i in range(16):
             assert gmmu.is_resident(32 + i) == (i % 2 == 0)
@@ -61,7 +60,7 @@ class TestPartialMigration:
         events.run()
         issue(gmmu, 33, time=events.now)  # odd page: a hole, mismatch
         events.run()
-        entry = gmmu.chain.get(2)
+        entry = chain_entry(gmmu.chain, 2)
         assert entry.resident_pages == 16  # rest of the chunk arrived
         assert gmmu.stats.pages_migrated == 16  # 8 + 8, never re-migrated
 
@@ -77,7 +76,7 @@ class TestPartialMigration:
         free_before = gmmu.device.free_frames
         issue(gmmu, 13 * 16, time=events.now)
         events.run()
-        assert gmmu.chain.get(2) is None
+        assert chain_entry(gmmu.chain, 2) is None
         assert gmmu.stats.pages_evicted >= 8
         assert gmmu.device.allocated_frames <= 64
 

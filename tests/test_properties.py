@@ -29,24 +29,27 @@ chain_ops = st.lists(
 
 @given(chain_ops)
 def test_chunk_chain_structure_invariants(ops):
-    """After any op sequence: index matches links, no dangling nodes."""
+    """After any op sequence: both link directions agree with the count,
+    and every chunk appears once."""
     chain = ChunkChain()
+    members = set()
     for op, cid in ops:
-        if op == "insert_tail" and cid not in chain:
-            chain.insert_tail(ChunkEntry(cid, 0))
-        elif op == "insert_head" and cid not in chain:
-            chain.insert_head(ChunkEntry(cid, 0))
-        elif op == "remove" and cid in chain:
+        if op == "insert_tail" and cid not in members:
+            chain.insert_tail(chain.new_entry(cid, 0))
+            members.add(cid)
+        elif op == "insert_head" and cid not in members:
+            chain.insert_head(chain.new_entry(cid, 0))
+            members.add(cid)
+        elif op == "remove" and cid in members:
             chain.remove(cid)
-        elif op == "move" and cid in chain:
+            members.discard(cid)
+        elif op == "move" and cid in members:
             chain.move_to_tail(cid)
         forward = [e.chunk_id for e in chain.from_head()]
         backward = [e.chunk_id for e in chain.from_tail()]
         assert forward == list(reversed(backward))
-        assert len(forward) == len(chain)
-        assert set(forward) == set(
-            e.chunk_id for e in map(chain.get, forward)
-        )
+        assert len(forward) == len(chain) == len(members)
+        assert set(forward) == members
 
 
 @given(

@@ -12,6 +12,8 @@ from repro.memsim.gmmu import GMMU
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.locality import LocalityPrefetcher
 
+from helpers import chain_entry, popcount
+
 
 def make_sm(trace, capacity=256, max_outstanding=4, burst=8, writes=None):
     config = SimConfig(
@@ -67,8 +69,8 @@ class TestExecution:
         sm, gmmu, events, stats, _ = make_sm(list(range(16)))
         sm.start(0)
         events.run()
-        entry = gmmu.chain.get(0)
-        assert entry.touched_pages == 16
+        entry = chain_entry(gmmu.chain, 0)
+        assert popcount(entry.touched_mask) == 16
 
     def test_write_flags_dirty_pages(self):
         sm, gmmu, events, stats, _ = make_sm(
@@ -77,8 +79,10 @@ class TestExecution:
         sm.start(0)
         events.run()
         assert stats.writes == 1
-        assert gmmu.page_table.dirty(0)
-        assert not gmmu.page_table.dirty(1)
+        pt = gmmu.page_table
+        dirty = [pt._dirty[vpn - pt._origin] for vpn in (0, 1)]
+        accessed = [pt._accessed[vpn - pt._origin] for vpn in (0, 1)]
+        assert dirty == [1, 0] and accessed == [1, 1]
 
     def test_mismatched_writes_length_rejected(self):
         with pytest.raises(SimulationError):
@@ -125,10 +129,8 @@ class TestTranslationCounters:
     stats after a run, whichever path counted them: the fused array loop
     folds per-SM totals into the objects when each SM finishes."""
 
-    @pytest.mark.parametrize(
-        "backend,dram", [("array", False), ("array", True), ("object", False)]
-    )
-    def test_object_counters_sum_to_stats(self, backend, dram):
+    @pytest.mark.parametrize("dram", [False, True])
+    def test_object_counters_sum_to_stats(self, dram):
         from conftest import make_simple_workload
 
         from repro.engine.simulator import Simulator
@@ -140,7 +142,6 @@ class TestTranslationCounters:
         config = SimConfig(
             sm=SMConfig(num_sms=4),
             translation=TranslationConfig(use_dram_model=dram),
-            backend=backend,
         )
         sim = Simulator(workload, oversubscription=0.5, config=config)
         result = sim.run()

@@ -7,6 +7,8 @@ from repro.memsim.page_table import PageTable
 from repro.translation.page_walk_cache import PageWalkCache
 from repro.translation.walker import PageTableWalker
 
+from helpers import install
+
 
 def make_walker(concurrent=2, levels=4, mem_latency=100):
     pt = PageTable(levels=levels)
@@ -62,7 +64,7 @@ class TestWalkLatency:
 
     def test_resident_detection(self):
         pt, pwc, walker = make_walker()
-        pt.map(100, 0)
+        install(pt, 100, 0)
         _, resident = walker.walk(100, time=0)
         assert resident
 
