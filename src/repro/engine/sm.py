@@ -189,7 +189,6 @@ class StreamingMultiprocessor:
         hoisted = (
             pt,
             chain,
-            pt._accessed,
             pt._dirty,
             pt._frames,
             chain._tch,
@@ -241,7 +240,7 @@ class StreamingMultiprocessor:
         if hoisted is None:
             hoisted = self._hoist()
         (
-            pt, chain, acc, drt, frames, tch, lref, ctr, prvl, nxtl,
+            pt, chain, drt, frames, tch, lref, ctr, prvl, nxtl,
             clock, policy, kind, ppc,
             l1_sets, l1_num, l1_assoc, l1_lat,
             l2_sets, l2_num, l2_assoc, l2_lat,
@@ -381,10 +380,8 @@ class StreamingMultiprocessor:
 
                 if resident:
                     # --- inline touch (mirrors MemorySystem.touch_page)
-                    idx = vpn - p_origin
-                    acc[idx] = 1
                     if is_write:
-                        drt[idx] = 1
+                        drt[vpn - p_origin] = 1
                     cid = vpn // ppc
                     li = cid - c_origin
                     tch[li] |= 1 << (vpn - cid * ppc)

@@ -23,13 +23,14 @@ installs a per-test temporary cache so tests can never poison each other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union, cast
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union, cast
 
 from ..config import SimConfig
 from ..registry import plugin_components_payload
@@ -114,16 +115,39 @@ def _canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256_json(payload: object) -> str:
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _default_config_fields() -> Dict[str, Any]:
+    """``dataclasses.asdict(SimConfig())``, built once per process.
+
+    Callers must not mutate the returned dict: every fingerprint of a
+    default-config run shares it.  Only ``config=None`` is memoized.  A
+    cache keyed on ``SimConfig`` equality would be wrong: ``1 == 1.0`` and
+    ``True == 1`` compare and hash alike but serialize differently, so
+    equal configs can have different keys.
+    """
+    return dataclasses.asdict(SimConfig())
+
+
+@functools.lru_cache(maxsize=None)
+def _default_config_fingerprint() -> str:
+    return _sha256_json(_default_config_fields())
+
+
 def config_fingerprint(config: Optional[SimConfig]) -> str:
     """Stable content hash of a :class:`SimConfig` (``None`` = defaults).
 
     ``None`` and an explicitly constructed default ``SimConfig()`` hash
     identically — they run identical simulations.  Every field reaches the
-    hash by whole-object construction (REPRO201).
+    hash by whole-object construction (REPRO201).  The default's hash is
+    computed once per process.
     """
-    effective = config if config is not None else SimConfig()
-    blob = _canonical_json(dataclasses.asdict(effective))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    if config is None:
+        return _default_config_fingerprint()
+    return _sha256_json(dataclasses.asdict(config))
 
 
 def spec_fingerprint(
@@ -140,14 +164,17 @@ def spec_fingerprint(
     orphan every previously cached entry.  Any non-default value still
     enters the payload and changes the key.
     """
-    effective = config if config is not None else SimConfig()
     spec_fields = dataclasses.asdict(spec)
     if spec_fields.get("instances") == 1:
         del spec_fields["instances"]
     payload = {
         "schema": schema_version,
         "spec": spec_fields,
-        "config": dataclasses.asdict(effective),
+        "config": (
+            _default_config_fields()
+            if config is None
+            else dataclasses.asdict(config)
+        ),
     }
     # Component identity sections derive from the registry's declared
     # ``fingerprint_fields``.  In-tree setups contribute nothing — the
@@ -158,7 +185,7 @@ def spec_fingerprint(
     components = plugin_components_payload(spec.setup)
     if components is not None:
         payload["components"] = components
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    return _sha256_json(payload)
 
 
 def serialize_result(result: "SimulationResult") -> bytes:

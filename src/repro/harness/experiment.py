@@ -107,8 +107,15 @@ def _resolve_cache(cache) -> Optional[ResultCache]:
     return cache
 
 
+def _memo_keys(specs: Sequence[RunSpec], config: Optional[SimConfig]) -> List[Tuple]:
+    """In-process memo keys of ``specs`` under one ``config``, which is
+    fingerprinted once for the whole list."""
+    config_key = config_fingerprint(config)
+    return [(spec.key(), config_key) for spec in specs]
+
+
 def _memo_key(spec: RunSpec, config: Optional[SimConfig]) -> Tuple:
-    return (spec.key(), config_fingerprint(config))
+    return _memo_keys((spec,), config)[0]
 
 
 def _execute(

@@ -45,6 +45,7 @@ succeed on retry" deterministic.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -94,6 +95,29 @@ class FaultRule:
     once_flag: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Types first: a rule parsed from REPRO_FAULT_PLAN is outside input,
+        # and a wrong type would otherwise surface as a bare TypeError in
+        # the worker when the rule fires.
+        for name in ("match", "action", "exc_type", "message"):
+            if not isinstance(getattr(self, name), str):
+                raise HarnessError(
+                    f"fault rule {name} must be a string, got "
+                    f"{getattr(self, name)!r}"
+                )
+        if (
+            isinstance(self.hang_s, bool)
+            or not isinstance(self.hang_s, (int, float))
+            or not 0 <= self.hang_s < math.inf
+        ):
+            raise HarnessError(
+                "fault rule hang_s must be a finite non-negative number of "
+                f"seconds, got {self.hang_s!r}"
+            )
+        if self.once_flag is not None and not isinstance(self.once_flag, str):
+            raise HarnessError(
+                f"fault rule once_flag must be a string or null, got "
+                f"{self.once_flag!r}"
+            )
         if self.action not in _ACTIONS:
             raise HarnessError(
                 f"fault rule action {self.action!r} not in {sorted(_ACTIONS)}"

@@ -52,7 +52,7 @@ from .experiment import (
     RunSpec,
     _execute,
     _execute_traced,
-    _memo_key,
+    _memo_keys,
     _resolve_cache,
     _spec_label,
 )
@@ -253,7 +253,7 @@ class ParallelRunner:
         specs = list(specs)
         total = len(specs)
         done = 0
-        keys = [_memo_key(spec, config) for spec in specs]
+        keys = _memo_keys(specs, config)
         multiplicity: Dict[Tuple, int] = {}
         for key in keys:
             multiplicity[key] = multiplicity.get(key, 0) + 1

@@ -3,18 +3,21 @@
 Two roles:
 
 1. **Residency map** — VPN -> physical frame for pages currently in device
-   memory, plus per-page *accessed* and *dirty* bits.  The memory-system
-   stages write these in place: migration completion installs frames and
-   clears both bits, the SM sets them on every access, and eviction frees
-   the frames and counts the dirty pages it writes back.
+   memory, plus a per-page *dirty* bit.  The memory-system stages write
+   these in place: migration completion installs frames and clears the
+   bit, the SM sets it on every write, and eviction frees the frames and
+   counts the dirty pages it writes back.  Which pages were accessed is
+   kept per chunk, in the chain's touched mask
+   (:class:`~repro.memsim.chunk_chain.ChunkChain`), which is what eviction
+   and the policies read.
 2. **Walk structure model** — a 4-level radix tree (512-ary, 9 bits per
    level, as in x86-64).  The page-table walker asks for the per-level node
    keys of a VPN so that the page walk cache can cache upper levels.
 
 Representation (DESIGN.md §10): ``_frames[vpn - _origin]`` holds the
-physical frame (``-1`` = unmapped); accessed/dirty bits live in parallel
-bytearrays.  All three grow in place at either end (:meth:`_ensure`), so
-their identity is stable for the life of the table and hot loops may hoist
+physical frame (``-1`` = unmapped); dirty bits live in a parallel
+bytearray.  Both grow in place at either end (:meth:`_ensure`), so their
+identity is stable for the life of the table and hot loops may hoist
 them.
 """
 
@@ -34,10 +37,10 @@ _PAD_PAGES = 4096
 
 
 class PageTable:
-    """Radix page table with residency and access/dirty tracking over flat
+    """Radix page table with residency and dirty tracking over flat
     origin-offset arrays."""
 
-    __slots__ = ("levels", "_frames", "_accessed", "_dirty", "_origin")
+    __slots__ = ("levels", "_frames", "_dirty", "_origin")
 
     def __init__(
         self, levels: int = 4, origin_hint: int = 0, size_hint: int = 0
@@ -48,7 +51,6 @@ class PageTable:
         self._origin = origin_hint
         n = max(size_hint, _PAD_PAGES)
         self._frames: List[int] = [-1] * n
-        self._accessed = bytearray(n)
         self._dirty = bytearray(n)
 
     def _ensure(self, vpn: int) -> int:
@@ -57,7 +59,6 @@ class PageTable:
         if idx < 0:
             pad = max(-idx, _PAD_PAGES)
             self._frames[:0] = [-1] * pad
-            self._accessed[:0] = bytes(pad)
             self._dirty[:0] = bytes(pad)
             self._origin -= pad
             return vpn - self._origin
@@ -65,7 +66,6 @@ class PageTable:
         if idx >= n:
             pad = idx - n + 1 + _PAD_PAGES
             self._frames.extend([-1] * pad)
-            self._accessed.extend(bytes(pad))
             self._dirty.extend(bytes(pad))
         return idx
 

@@ -667,7 +667,7 @@ class MigrationScheduler:
 
         The install works over the batch's page mask: the flat arrays grow
         once for the batch extremes, then, chunk by chunk, frames are
-        written and accessed/dirty bits cleared one contiguous run of pages
+        written and dirty bits cleared one contiguous run of pages
         at a time with slices.  Frames leave the free list in ascending-vpn
         order, one ``free.pop()`` per page.
         """
@@ -683,7 +683,6 @@ class MigrationScheduler:
         chain._ensure(lo // ppc)
         chain._ensure(hi // ppc)
         frames = pt._frames
-        acc = pt._accessed
         drt = pt._dirty
         c_origin = chain._origin
         res_l = chain._res
@@ -741,7 +740,6 @@ class MigrationScheduler:
                 # ``free.pop()`` per page, in one slice: last frame first.
                 frames[i0:i1] = free[:-run - 1:-1]
                 del free[-run:]
-                acc[i0:i1] = bytes(run)
                 drt[i0:i1] = bytes(run)
             dmask = (demand_mask >> shift) & cmask
             res_l[li] |= cmask
@@ -871,7 +869,7 @@ class MemorySystem:
 
     def touch_page(self, sm_id: int, vpn: int, is_write: bool, time: int) -> None:
         """Record a successful access to a resident page: the page-table
-        access bits, the chunk's touched bit, and the policy's recency
+        dirty bit (writes), the chunk's touched bit, and the policy's recency
         update (replayed inline for the kinds :func:`policy_touch_kind`
         names, through ``on_page_touched`` otherwise)."""
         pt = self.page_table
@@ -879,7 +877,6 @@ class MemorySystem:
         frames = pt._frames
         if not (0 <= idx < len(frames)) or frames[idx] < 0:
             raise SimulationError(f"access to non-resident vpn {vpn}")
-        pt._accessed[idx] = 1
         if is_write:
             pt._dirty[idx] = 1
         chain = self.chain

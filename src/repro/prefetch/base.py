@@ -81,7 +81,5 @@ class Prefetcher:
         ppc = self.ctx.pages_per_chunk
         base = (vpn // ppc) * ppc
         pages = [] if skip(vpn) else [vpn]
-        pages.extend(
-            p for p in range(base, base + ppc) if p != vpn and not skip(p)
-        )
+        pages += [p for p in range(base, base + ppc) if p != vpn and not skip(p)]
         return pages

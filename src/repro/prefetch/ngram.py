@@ -145,7 +145,7 @@ class NGramPrefetcher(Prefetcher):
             return pages
         self.predictions += 1
         base = predicted * ppc
-        pages.extend(p for p in range(base, base + ppc) if not skip(p))
+        pages += [p for p in range(base, base + ppc) if not skip(p)]
         return pages
 
     def on_chunk_evicted(

@@ -81,7 +81,7 @@ class TreeNeighborhoodPrefetcher(Prefetcher):
     ) -> List[int]:
         """Non-skipped pages of [base, base+size), faulted page first."""
         pages = [] if skip(faulted) or not base <= faulted < base + size else [faulted]
-        pages.extend(
+        pages += [
             p for p in range(base, base + size) if p != faulted and not skip(p)
-        )
+        ]
         return pages

@@ -1,25 +1,29 @@
 """Thin stdlib client for the experiment service.
 
 Backs ``repro submit`` / ``repro status`` and the e2e tests; it is just
-``urllib`` plus the wire format — no retries, no connection pooling.  The
-one non-trivial piece is :meth:`ServiceClient.events`, which iterates the
-NDJSON stream line by line so callers can react to progress while the
-batch is still running.
+``http.client`` plus the wire format — one connection per request, no
+retries, no connection pooling.  The one non-trivial piece is
+:meth:`ServiceClient.events`, which iterates the NDJSON stream line by
+line so callers can react to progress while the batch is still running.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, Iterator, Optional
-from urllib.parse import quote
+from typing import Dict, Iterator, Optional, Tuple
+from urllib.parse import quote, urlsplit
 
 from ..errors import ServiceError
 from .wire import JSONDict
 
 __all__ = ["ServiceClient"]
+
+#: What a failed exchange raises below the HTTP status line: refused or
+#: reset connections and timeouts (``OSError``), malformed responses
+#: (``HTTPException``).
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class ServiceClient:
@@ -28,36 +32,55 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.netloc:
+            # The service speaks plain HTTP (``http.server``).
+            raise ServiceError(f"not an http:// URL: {base_url!r}")
+        self._netloc = url.netloc
+        self._prefix = url.path
 
     # --- plumbing ---------------------------------------------------------
+
+    def _send(
+        self, method: str, path: str, body: Optional[JSONDict], accept: str
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request on a fresh connection; returns the connection
+        (the caller closes it) and the response, whatever its status."""
+        data = None
+        headers: Dict[str, str] = {"Accept": accept, "Connection": "close"}
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout_s)
+        try:
+            conn.request(method, self._prefix + path, body=data, headers=headers)
+            return conn, conn.getresponse()
+        except _TRANSPORT_ERRORS as exc:
+            conn.close()
+            raise ServiceError(f"{method} {path} failed: {exc}") from exc
 
     def _request(
         self, method: str, path: str, body: Optional[JSONDict] = None
     ) -> JSONDict:
-        data = None
-        headers: Dict[str, str] = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
+        conn, resp = self._send(method, path, body, "application/json")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = ""
+            raw = resp.read()
+        except _TRANSPORT_ERRORS as exc:
+            raise ServiceError(f"{method} {path} failed: {exc}") from exc
+        finally:
+            conn.close()
+        if not 200 <= resp.status < 300:
             try:
-                detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-            except Exception:
-                pass
+                detail = json.loads(raw).get("error", "")
+            except (ValueError, AttributeError):
+                detail = ""
             raise ServiceError(
-                f"{method} {path} -> {exc.code}"
+                f"{method} {path} -> {resp.status}"
                 + (f": {detail}" if detail else "")
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(f"{method} {path} failed: {exc.reason}") from exc
-        assert isinstance(payload, dict)
+            )
+        payload = json.loads(raw)
+        if not isinstance(payload, dict):
+            raise ServiceError(f"{method} {path}: response is not a JSON object")
         return payload
 
     # --- API --------------------------------------------------------------
@@ -86,22 +109,20 @@ class ServiceClient:
             f"/batches/{quote(job_id)}/events"
             f"?after={after}&follow={'1' if follow else '0'}"
         )
-        req = urllib.request.Request(
-            self.base_url + path, headers={"Accept": "application/x-ndjson"}
-        )
+        conn, resp = self._send("GET", path, None, "application/x-ndjson")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                for raw in resp:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    event = json.loads(line)
-                    assert isinstance(event, dict)
-                    yield event
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(
-                f"GET {path} -> {exc.code}"
-            ) from exc
+            if not 200 <= resp.status < 300:
+                raise ServiceError(f"GET {path} -> {resp.status}")
+            for raw in resp:
+                line = raw.strip()
+                if not line:
+                    continue
+                event = json.loads(line)
+                if not isinstance(event, dict):
+                    raise ServiceError(f"GET {path}: event is not a JSON object")
+                yield event
+        finally:
+            conn.close()
 
     def wait(
         self,

@@ -14,10 +14,10 @@ loaded snapshot belonged to a service process that died mid-drain, so the
 store re-queues it (results already in the persistent cache make the
 replay cheap — completed specs are not re-simulated).
 
-Persistence is one JSON snapshot per job under ``<state_dir>/jobs/``,
-written with :func:`repro.harness.store.atomic_write_text` so a crash
-mid-write can never leave a truncated snapshot for the next boot to trip
-over.
+Persistence is one compact JSON snapshot per job under
+``<state_dir>/jobs/`` (``load_all`` reads indented ones as well), written
+with :func:`repro.harness.store.atomic_write_text` so a crash mid-write
+can never leave a truncated snapshot for the next boot to trip over.
 """
 
 from __future__ import annotations
@@ -251,9 +251,11 @@ class JobStore:
         """Register (or update) ``job`` and persist its snapshot atomically."""
         with self._lock:
             self._jobs[job.job_id] = job
+            # Compact on purpose: ``indent`` routes json.dumps through the
+            # pure-Python encoder, and a job is saved three times per batch.
             atomic_write_text(
                 self._path(job.job_id),
-                json.dumps(job.to_dict(), indent=2, sort_keys=True),
+                json.dumps(job.to_dict(), sort_keys=True),
             )
 
     def get(self, job_id: str) -> Job:

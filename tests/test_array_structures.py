@@ -2,9 +2,10 @@
 
 Hypothesis drives random operation sequences against the page table, the
 chunk chain and the coverage map, and checks every observable against a
-small reference model kept in the test: a ``vpn -> [frame, accessed,
-dirty]`` dict for the page table, a recency-ordered list plus a per-chunk
-field dict for the chain, and a plain dict for the coverage map.
+small reference model kept in the test: a ``vpn -> [frame, dirty]`` dict
+for the page table, a recency-ordered list plus a per-chunk field dict
+for the chain (whose touched mask is where accesses are recorded), and a
+plain dict for the coverage map.
 
 VPN/chunk-id strategies straddle the workload base (``0x80000``) and zero
 on purpose: low-side growth (``arr[:0] = ...``) is the delicate direction
@@ -54,22 +55,24 @@ PT_OPS = st.lists(
 
 
 def _pt_view(pt, vpn):
-    """``(frame, accessed, dirty)`` of ``vpn`` as the stages read it."""
+    """``(frame, dirty)`` of ``vpn`` as the stages read it."""
     idx = vpn - pt._origin
     if not 0 <= idx < len(pt._frames) or pt._frames[idx] < 0:
         return None
-    return [pt._frames[idx], bool(pt._accessed[idx]), bool(pt._dirty[idx])]
+    return [pt._frames[idx], bool(pt._dirty[idx])]
 
 
 class TestPageTable:
     @settings(max_examples=60, deadline=None)
     @given(ops=PT_OPS)
     def test_matches_dict_page_table(self, ops):
-        # The stages install, access and evict by writing the arrays at
+        # The stages install, write and evict by writing the arrays at
         # ``_ensure``'s index; growth at either end must keep every entry
-        # at its vpn and keep the array objects (hot loops hoist them).
+        # at its vpn and keep the array objects (hot loops hoist them).  A
+        # read leaves the table as it is: accesses are recorded in the
+        # chain's touched mask (the "touch" op of the chain test below).
         pt = PageTable(4, origin_hint=0x80000, size_hint=64)
-        arrays = (pt._frames, pt._accessed, pt._dirty)
+        arrays = (pt._frames, pt._dirty)
         model = {}
         next_frame = 0
         touched = sorted({vpn for _, vpn in ops})
@@ -78,19 +81,15 @@ class TestPageTable:
                 idx = pt._ensure(vpn)
                 assert pt._frames[idx] < 0
                 pt._frames[idx] = next_frame
-                pt._accessed[idx] = pt._dirty[idx] = 0
-                model[vpn] = [next_frame, False, False]
+                pt._dirty[idx] = 0
+                model[vpn] = [next_frame, False]
                 next_frame += 1
             elif op == "unmap" and vpn in model:
                 assert _pt_view(pt, vpn) == model.pop(vpn)
                 pt._frames[pt._ensure(vpn)] = -1
-            elif op in ("read", "write") and vpn in model:
-                idx = pt._ensure(vpn)
-                pt._accessed[idx] = 1
+            elif op == "write" and vpn in model:
+                pt._dirty[pt._ensure(vpn)] = 1
                 model[vpn][1] = True
-                if op == "write":
-                    pt._dirty[idx] = 1
-                    model[vpn][2] = True
             elif op == "probe":
                 assert pt.is_resident(vpn) == (vpn in model)
             for v in touched:
@@ -98,7 +97,7 @@ class TestPageTable:
                 assert _pt_view(pt, v) == model.get(v)
         assert all(
             now is before
-            for now, before in zip((pt._frames, pt._accessed, pt._dirty), arrays)
+            for now, before in zip((pt._frames, pt._dirty), arrays)
         )
 
     def test_vpn_below_origin_is_not_resident(self):

@@ -112,6 +112,34 @@ class TestFaultPlan:
         with pytest.raises(HarnessError):
             FaultPlan.from_json('[{"match": "x", "bogus_key": 1}]')
 
+    @pytest.mark.parametrize(
+        "rule, field",
+        [
+            ({"match": 5, "action": "raise"}, "match"),
+            ({"match": "x", "action": "raise", "message": ["m"]}, "message"),
+            ({"match": "x", "action": "crash", "exc_type": 7}, "exc_type"),
+            ({"match": "x", "action": "hang", "hang_s": "x"}, "hang_s"),
+            ({"match": "x", "action": "hang", "hang_s": -1}, "hang_s"),
+            ({"match": "x", "action": "hang", "hang_s": True}, "hang_s"),
+            ({"match": "x", "action": "corrupt", "once_flag": 7}, "once_flag"),
+        ],
+        ids=["match-int", "message-list", "exc_type-int", "hang_s-str",
+             "hang_s-negative", "hang_s-bool", "once_flag-int"],
+    )
+    def test_field_types_checked_at_parse(self, rule, field):
+        # Refused when the plan is read, naming the field, instead of
+        # failing in the worker when the rule fires.
+        with pytest.raises(HarnessError, match=field):
+            FaultPlan.from_json(json.dumps([rule]))
+
+    def test_well_typed_rule_parses(self):
+        plan = FaultPlan.from_json(json.dumps([
+            {"match": "NW", "action": "hang", "hang_s": 0, "once_flag": None},
+            {"match": "SRD", "action": "raise", "exc_type": "OSError",
+             "message": "m", "hang_s": 1.5},
+        ]))
+        assert [r.hang_s for r in plan.rules] == [0, 1.5]
+
     def test_first_match_wins(self):
         plan = FaultPlan(
             [

@@ -1,9 +1,10 @@
-"""Page table residency + access/dirty bits (repro.memsim.page_table).
+"""Page table residency + dirty bits (repro.memsim.page_table).
 
 The memory-system stages write the page table's arrays in place: migration
 completion installs frames with clean bits, ``touch_page`` (and the SM's
-fused loop) sets the accessed/dirty bits, and eviction frees the frames.
-These tests drive the table through those stages.
+fused loop) sets the dirty bit on a write and records every access in the
+chunk's touched mask, and eviction frees the frames.  These tests drive
+the table through those stages.
 """
 
 import pytest
@@ -39,12 +40,15 @@ def _fault_in(gmmu, vpn):
 
 
 def _bits(gmmu, vpn):
-    """``(frame, accessed, dirty)`` of a resident ``vpn``, else None."""
+    """``(frame, touched, dirty)`` of a resident ``vpn``, else None: frame
+    and dirty bit from the page table, touched from the chunk's mask."""
     pt = gmmu.page_table
     idx = vpn - pt._origin
     if not 0 <= idx < len(pt._frames) or pt._frames[idx] < 0:
         return None
-    return pt._frames[idx], bool(pt._accessed[idx]), bool(pt._dirty[idx])
+    ppc = gmmu.uvm.pages_per_chunk
+    touched = chain_entry(gmmu.chain, vpn // ppc).touched_mask >> (vpn % ppc) & 1
+    return pt._frames[idx], bool(touched), bool(pt._dirty[idx])
 
 
 def _evict(gmmu, chunk_id):
@@ -115,7 +119,7 @@ class TestAccessDirtyBits:
             _system().touch_page(0, 4, False, 0)
 
     def test_remap_clears_bits(self):
-        # Eviction + re-migration must not inherit old access bits.
+        # Eviction + re-migration must not inherit old touched/dirty bits.
         gmmu = _system()
         _fault_in(gmmu, 4)
         gmmu.touch_page(0, 4, True, gmmu.events.now)

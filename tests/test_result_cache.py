@@ -28,9 +28,11 @@ from repro.harness.cache import (
 )
 from repro.harness.experiment import (
     RunSpec,
+    _seed_memo,
     clear_cache,
     execution_count,
     run_one,
+    submit_batch,
 )
 
 FAST = SimConfig(sm=SMConfig(num_sms=4))
@@ -112,6 +114,9 @@ class TestKeySensitivity:
     def test_none_config_equals_explicit_default(self):
         assert spec_fingerprint(SPEC, None) == spec_fingerprint(SPEC, SimConfig())
         assert config_fingerprint(None) == config_fingerprint(SimConfig())
+        # The default's key is memoized; a non-default config keeps its own.
+        assert config_fingerprint(SimConfig(seed=7)) != config_fingerprint(None)
+        assert spec_fingerprint(SPEC, SimConfig(seed=7)) != spec_fingerprint(SPEC)
 
     def test_schema_version_changes_the_key(self):
         assert spec_fingerprint(SPEC, FAST, schema_version=2) != spec_fingerprint(
@@ -266,3 +271,58 @@ class TestRunOneIntegration:
         run_one(SPEC, config=SimConfig())  # explicit defaults, same content
         assert execution_count() == before
         assert active.hits == 1
+
+
+class TestFingerprintOncePerBatch:
+    """A batch fingerprints its config once, not once per spec, and the
+    default config (``None``) is fingerprinted once per process."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Every payload serialized for a fingerprint, in call order."""
+        calls = []
+        real = cache_mod._canonical_json
+
+        def counting(payload):
+            calls.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(cache_mod, "_canonical_json", counting)
+        return calls
+
+    def test_one_config_fingerprint_per_batch(self, hashed):
+        other = dataclasses.replace(SPEC, setup="cppe")
+        specs = [SPEC, other, SPEC, other]
+        _, stats = submit_batch(specs, config=FAST, cache=None)
+        assert stats.simulated == 2
+        assert len(hashed) == 1
+        _, stats = submit_batch(specs, config=FAST, cache=None)
+        assert stats.memo_hits == 2
+        assert len(hashed) == 2
+
+    def test_default_config_fingerprinted_once_per_process(self, hashed, result):
+        cache_mod._default_config_fingerprint.cache_clear()
+        specs = [SPEC, dataclasses.replace(SPEC, setup="cppe")]
+        for spec in specs:  # any result will do: only the keys are counted
+            _seed_memo(spec, None, result)
+        assert len(hashed) == 1
+        for _ in range(3):
+            resolved, stats = submit_batch(specs, cache=None)
+            assert stats.memo_hits == 2 and stats.simulated == 0
+            assert all(r is result for r in resolved.values())
+        assert len(hashed) == 1
+
+    def test_default_payload_reused_by_spec_fingerprint(self, hashed):
+        spec_fingerprint(SPEC)
+        spec_fingerprint(dataclasses.replace(SPEC, setup="cppe"))
+        assert hashed[0]["config"] is hashed[1]["config"]
+        assert hashed[0]["config"] == dataclasses.asdict(SimConfig())
+
+    def test_equal_but_differently_typed_configs_keep_their_own_keys(self):
+        # 1 == 1.0 and hash(1) == hash(1.0), but they serialize differently:
+        # a cache keyed on SimConfig equality would hand one the other's key.
+        as_int = SimConfig(uvm=UVMConfig(write_fraction=0))
+        as_float = SimConfig(uvm=UVMConfig(write_fraction=0.0))
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        assert config_fingerprint(as_int) != config_fingerprint(as_float)
+        assert spec_fingerprint(SPEC, as_int) != spec_fingerprint(SPEC, as_float)

@@ -345,6 +345,23 @@ class TestJobStore:
         with pytest.raises(UnknownJob):
             JobStore(tmp_path).get("nope")
 
+    def test_loads_indented_and_compact_snapshots(self, tmp_path):
+        # Snapshots are written compact (the C JSON encoder); ones written
+        # indented by earlier versions still load.
+        store = JobStore(tmp_path)
+        store.save(make_job("new", priority=1))
+        old = make_job("old", priority=3)
+        (store.directory / "old.json").write_text(
+            json.dumps(old.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
+        )
+        assert "\n" not in (store.directory / "new.json").read_text("utf-8")
+
+        fresh = JobStore(tmp_path)
+        pending = fresh.load_all()
+        assert sorted(j.job_id for j in pending) == ["new", "old"]
+        assert fresh.get("old").to_dict() == old.to_dict()
+        assert fresh.get("new").to_dict() == make_job("new", priority=1).to_dict()
+
     def test_snapshots_are_files_per_job(self, tmp_path):
         store = JobStore(tmp_path)
         store.save(make_job("a"))
@@ -685,13 +702,15 @@ class TestHTTP:
         assert [e["seq"] for e in tail] == [e["seq"] for e in all_events[2:]]
 
     def test_unknown_batch_is_404(self, http_service):
+        # The client's error text: ``METHOD path -> status[: detail]``; the
+        # event stream's carries no detail.
         _, client = http_service
         with pytest.raises(ServiceError) as err:
             client.status("b-nope")
-        assert "404" in str(err.value)
+        assert str(err.value) == "GET /batches/b-nope -> 404: unknown batch 'b-nope'"
         with pytest.raises(ServiceError) as err:
             list(client.events("b-nope"))
-        assert "404" in str(err.value)
+        assert str(err.value) == "GET /batches/b-nope/events?after=0&follow=0 -> 404"
 
     def test_bad_payload_is_400(self, http_service):
         _, client = http_service
@@ -718,6 +737,29 @@ class TestHTTP:
         _, client = http_service
         with pytest.raises(ServiceError):
             client._request("GET", "/no/such/route")
+
+
+class TestClientErrors:
+    """``ServiceClient`` errors raised before any HTTP status arrives: a
+    base URL that is not ``http://``, and ``METHOD path failed: reason``
+    when no response came back."""
+
+    @pytest.mark.parametrize("url", ["https://127.0.0.1:1", "127.0.0.1:8765", "http://"])
+    def test_non_http_url_rejected(self, url):
+        with pytest.raises(ServiceError, match="not an http:// URL"):
+            ServiceClient(url)
+
+    def test_refused_connection(self):
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=5)
+        with pytest.raises(ServiceError) as err:
+            client.health()
+        assert str(err.value).startswith("GET /healthz failed: ")
+        assert "Connection refused" in str(err.value)
+        with pytest.raises(ServiceError, match="failed: .*Connection refused"):
+            list(client.events("b-x"))
 
 
 def raw_post(base_url, headers):
